@@ -8,8 +8,10 @@ The pipeline:
    (lines 18-28, in :mod:`repro.treedec.core_tree`);
 3. **tree-index**: λ-local distances from every forest node to its tree
    ancestors and to its tree's interface (lines 19-32, this module);
-4. **core-index**: PLL (pruned Dijkstra) on the weighted reduced graph
-   ``G_{λ+1}`` (line 33).
+4. **core-index**: PLL on the weighted reduced graph ``G_{λ+1}``
+   (line 33) — vectorized pruned searches
+   (:mod:`repro.kernels.pruned_search`) when NumPy is installed, the
+   scalar pruned Dijkstra otherwise.
 
 The tree labels are computed in *reverse* elimination order, so the
 recursion of Lemma 15 always reads already-final values: the λ-local
@@ -270,14 +272,21 @@ def build_core_index(
     builds the same canonical label sets, so the choice never changes a
     fingerprint.
 
-    ``workers`` fans the PSL backend's rounds out over worker processes
-    (see :mod:`repro.parallel`) and ``kernel`` selects PSL's
-    construction path (vectorized vs pure Python); a live
+    ``kernel`` selects the construction path of the PLL and PSL
+    backends — vectorized (:mod:`repro.kernels.pruned_search`,
+    :mod:`repro.kernels.psl_rounds`) or pure Python; see
+    :func:`~repro.labeling.pll.build_pll`.  ``workers`` fans the PSL
+    backend's rounds out over worker processes (see
+    :mod:`repro.parallel`), and a live
     :class:`~repro.parallel.shm.ShmBuildPool` passed as ``pool``
-    (internal) is reused for vectorized multi-worker rounds.  The PLL
-    and hopdb backends ignore all three: a pruned search depends on
-    every earlier root's finished label, so PLL is inherently
-    sequential, and hopdb runs its own composition loop.
+    (internal) is reused for vectorized multi-worker rounds.  PLL
+    ignores both — a pruned search depends on every earlier root's
+    finished label, so PLL is inherently sequential — and hopdb ignores
+    all three, running its own composition loop.
+
+    The ``ct.core_labeling`` span records ``effective_backend``, the
+    backend that actually ran, plus ``fallback="weighted core"`` when a
+    ``psl``/``hopdb`` request fell back to PLL.
 
     ``hopdb_order`` tunes the hub order of the ``"hopdb"`` backend:
     ``"degree"`` (the default; fingerprint-identical to the other
@@ -325,6 +334,10 @@ def build_core_index(
                 f"unknown core backend {core_backend!r}; expected 'pll', "
                 f"'psl', or 'hopdb'"
             )
+        if core_backend != "pll" and not core_graph.unweighted:
+            core_span.set(effective_backend="pll", fallback="weighted core")
+        else:
+            core_span.set(effective_backend=core_backend)
         if core_backend == "psl" and core_graph.unweighted:
             from repro.labeling.psl import build_psl
 
@@ -336,7 +349,9 @@ def build_core_index(
                 kernel=kernel,
                 pool=pool,
             )
-            labeling = PrunedLandmarkLabeling(core_graph, psl.labels, psl.order)
+            labeling = PrunedLandmarkLabeling(
+                core_graph, psl.labels, psl.order, build_kernel=psl.build_kernel
+            )
             labeling.build_seconds = psl.build_seconds
             labeling.round_stats = psl.round_stats
         elif core_backend == "hopdb" and core_graph.unweighted:
@@ -350,7 +365,7 @@ def build_core_index(
             labeling = PrunedLandmarkLabeling(core_graph, hop.labels, hop.order)
             labeling.build_seconds = hop.build_seconds
         else:
-            labeling = build_pll(core_graph, hub_order, budget=budget)
+            labeling = build_pll(core_graph, hub_order, budget=budget, kernel=kernel)
         if obs.tracing_enabled():
             core_span.set(core_n=core_graph.n, entries=labeling.size_entries())
     if obs.enabled():
@@ -383,7 +398,8 @@ def construct(
 
     ``workers`` parallelizes the tree-index fan-out (and the core
     labeling when ``core_backend="psl"`` applies) and ``kernel`` selects
-    PSL's in-process construction path, without changing any label — the
+    the core labeling's construction path (vectorized PLL searches or
+    PSL rounds vs pure Python), without changing any label — the
     decomposition itself stays sequential, as each elimination step
     depends on the fill-in of the previous one.  When ``workers > 1``
     and NumPy is importable, one shared-memory worker pool

@@ -196,7 +196,8 @@ class CTIndex(DistanceIndex):
             changes an answer.
         kernel:
             Kernel selection for both the query path and the vectorized
-            PSL construction rounds (see :mod:`repro.kernels`):
+            core labeling — PLL's pruned searches or PSL's rounds (see
+            :mod:`repro.kernels`):
             ``"auto"`` (default — NumPy when installed and the backend
             is flat), ``"numpy"`` (required; raises
             :class:`~repro.exceptions.ConfigurationError` when NumPy is

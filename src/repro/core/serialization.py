@@ -59,6 +59,26 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = frozenset({1, FORMAT_VERSION})
 
 
+def _document_sections(index: CTIndex) -> dict:
+    """Top-level document keys, in document order, each with its encoder.
+
+    The encoders are thunks so :func:`index_fingerprint` can build and
+    serialize one section at a time.
+    """
+    return {
+        "format": lambda: "repro-ct-index",
+        "version": lambda: FORMAT_VERSION,
+        "bandwidth": lambda: index.bandwidth,
+        "graph": lambda: _encode_graph(index.graph),
+        "reduction": lambda: _encode_reduction(index.reduction),
+        "elimination": lambda: _encode_elimination(index.decomposition.elimination),
+        "tree_labels": lambda: [
+            _encode_weight_map(label) for label in index.tree_index.labels
+        ],
+        "core": lambda: _encode_core(index),
+    }
+
+
 def index_document(index: CTIndex, *, include_timings: bool = True) -> dict:
     """The JSON-ready document describing ``index``.
 
@@ -66,16 +86,7 @@ def index_document(index: CTIndex, *, include_timings: bool = True) -> dict:
     is omitted, leaving only content that is a pure function of the
     graph and the build parameters.
     """
-    document = {
-        "format": "repro-ct-index",
-        "version": FORMAT_VERSION,
-        "bandwidth": index.bandwidth,
-        "graph": _encode_graph(index.graph),
-        "reduction": _encode_reduction(index.reduction),
-        "elimination": _encode_elimination(index.decomposition.elimination),
-        "tree_labels": [_encode_weight_map(label) for label in index.tree_index.labels],
-        "core": _encode_core(index),
-    }
+    document = {key: encode() for key, encode in _document_sections(index).items()}
     if include_timings:
         document["build_seconds"] = index.build_seconds
     return document
@@ -89,13 +100,22 @@ def index_fingerprint(index: CTIndex) -> bytes:
     ``workers=N``) — the determinism guarantee the differential suite
     and ``build-bench`` verify.  Keys are sorted so the fingerprint does
     not depend on document-assembly order.
+
+    The bytes are those of ``json.dumps(index_document(index,
+    include_timings=False), sort_keys=True, separators=(",", ":"))``,
+    but each top-level section is built and serialized on its own, so
+    peak memory is that of the largest section rather than of the
+    whole document.
     """
-    return json.dumps(
-        index_document(index, include_timings=False),
-        allow_nan=False,
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    encode = json.JSONEncoder(
+        allow_nan=False, sort_keys=True, separators=(",", ":")
+    ).encode
+    sections = _document_sections(index)
+    parts = [
+        f"{encode(key)}:{encode(sections[key]())}".encode("utf-8")
+        for key in sorted(sections)
+    ]
+    return b"{" + b",".join(parts) + b"}"
 
 
 def save_ct_index(index: CTIndex, path: PathLike) -> None:

@@ -1,8 +1,9 @@
-"""Vectorized query kernels over the CSR flat backend (experimental tier).
+"""Vectorized NumPy kernels for queries and label construction.
 
 The flat backend of :mod:`repro.storage` packs labels into contiguous
 typed arrays — exactly the layout NumPy can view zero-copy and reduce
-in a handful of array ops.  This package holds those kernels:
+in a handful of array ops.  This package holds the kernels that read
+those arrays to answer queries:
 
 * :mod:`repro.kernels.views` — cached ``np.frombuffer`` views onto
   :class:`~repro.storage.flat_labels.FlatLabelStore` /
@@ -10,23 +11,34 @@ in a handful of array ops.  This package holds those kernels:
 * :mod:`repro.kernels.label_kernels` — point and batch 2-hop
   intersections over one flat label store;
 * :mod:`repro.kernels.ct_kernels` — the CT-Index 4-case dispatch,
-  including the Lemma 9 extension operation as array reductions.
+  including the Lemma 9 extension operation as array reductions;
+
+and the kernels that build 2-hop labels:
+
+* :mod:`repro.kernels.pruned_search` — PLL's pruned searches, one
+  array-level Bellman–Ford per root (weighted and unweighted), which
+  labels the CT core on every default build;
+* :mod:`repro.kernels.psl_rounds` — PSL's propagation rounds over CSR
+  frontier arrays.
 
 NumPy stays **optional**: this module imports without it, and the
 submodules above (which do ``import numpy``) are only loaded once
-:func:`resolve_kernel` has decided the numpy kernel applies.  Kernel
-selection is explicit everywhere it is wired through
+:func:`resolve_kernel` (queries) or :func:`construction_kernel`
+(builders) has decided the numpy kernel applies.  Kernel selection is
+explicit everywhere it is wired through
 (``kernel="numpy" | "python" | "auto"``):
 
 * ``"python"`` — always the interpreter kernels (works on any backend);
 * ``"numpy"`` — require the vectorized kernels; raises
   :class:`~repro.exceptions.ConfigurationError` when NumPy is missing
-  (install the ``repro[fast]`` extra) or the index is not on the flat
-  backend (the kernels read CSR arrays);
-* ``"auto"`` (default) — numpy when available *and* the backend is
-  flat, silently falling back to python otherwise.
+  (install the ``repro[fast]`` extra) or, for queries, the index is not
+  on the flat backend (the query kernels read CSR arrays);
+* ``"auto"`` (default) — numpy when available *and*, for queries, the
+  backend is flat or, for builders, the graph has at least
+  :data:`VECTORIZE_MIN_NODES` nodes; python otherwise.
 
-Every kernel is answer-identical to the scalar path — the differential
+Every kernel is answer-identical to the scalar path, and the builders
+are label-identical (``index_fingerprint()``-equal) — the differential
 suite pins this — so selection is purely a performance choice.
 """
 
@@ -43,6 +55,13 @@ KERNEL_NAMES = (KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON)
 
 #: The optional extra that brings NumPy in (named in error messages).
 FAST_EXTRA = "repro[fast]"
+
+#: Below this node count a construction ``kernel="auto"`` request keeps
+#: the pure-Python builders: the arrays' fixed setup cost dominates on
+#: tiny graphs (most test fixtures and small cores), and both paths
+#: build identical labels, so the cutoff is purely a performance
+#: heuristic.
+VECTORIZE_MIN_NODES = 64
 
 #: Cached availability probe result (None = not probed yet).  Tests
 #: monkeypatch this to simulate a NumPy-less environment.
@@ -104,6 +123,23 @@ def resolve_kernel(kernel: str = KERNEL_AUTO, *, flat: bool = True) -> str:
     return KERNEL_NUMPY if (flat and numpy_available()) else KERNEL_PYTHON
 
 
+def construction_kernel(kernel: str, n: int) -> str:
+    """Resolve a builder's ``kernel=`` request for an ``n``-node graph.
+
+    Construction kernels build in-memory arrays, so the flat-backend
+    requirement of the query kernels does not apply: ``"numpy"`` always
+    vectorizes (raising :class:`ConfigurationError` without NumPy),
+    ``"auto"`` vectorizes when NumPy is installed and ``n`` reaches
+    :data:`VECTORIZE_MIN_NODES`, and ``"python"`` never does.
+    """
+    resolved = resolve_kernel(kernel, flat=True)
+    if resolved == KERNEL_NUMPY and (
+        kernel == KERNEL_NUMPY or n >= VECTORIZE_MIN_NODES
+    ):
+        return KERNEL_NUMPY
+    return KERNEL_PYTHON
+
+
 def record_kernel_queries(kernel: str, count: int = 1) -> None:
     """Bump the per-kernel query counter in the shared obs registry.
 
@@ -120,6 +156,8 @@ __all__ = [
     "KERNEL_NAMES",
     "KERNEL_NUMPY",
     "KERNEL_PYTHON",
+    "VECTORIZE_MIN_NODES",
+    "construction_kernel",
     "numpy_available",
     "record_kernel_queries",
     "resolve_kernel",

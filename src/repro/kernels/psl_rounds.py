@@ -338,24 +338,11 @@ def run_numpy_rounds_csr(
     return lab_keys, lab_dists, lab_indptr, level
 
 
-def _expand_runs(
-    starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the concatenation of ``counts[i]``-long runs at ``starts[i]``.
-
-    Returns ``(indices, run_offsets)``: ``indices`` gathers every run
-    element in order, ``run_offsets`` marks where each run begins in it
-    (the ``reduceat`` boundaries).
-    """
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
+def expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the concatenation of ``counts[i]``-long runs at ``starts[i]``."""
+    offsets = np.cumsum(counts) - counts
     total = int(offsets[-1] + counts[-1]) if counts.size else 0
-    indices = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(starts, counts)
-    )
-    return indices, offsets
+    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
 
 
 def _run_round(
@@ -380,7 +367,7 @@ def _run_round(
     if int(edge_counts.sum()) == 0:
         return np.empty(0, dtype=np.int64)
     nonzero = edge_counts > 0
-    indices, _ = _expand_runs(fr_indptr[adj[nonzero]], edge_counts[nonzero])
+    indices = expand_runs(fr_indptr[adj[nonzero]], edge_counts[nonzero])
     hubs = fr_hubs[indices]
     owners = np.repeat(edge_owner[nonzero], edge_counts[nonzero])
 

@@ -39,6 +39,29 @@ class HubLabeling:
         self._hub_ranks: list[list[int]] = [[] for _ in range(n)]
         self._hub_dists: list[list[Weight]] = [[] for _ in range(n)]
 
+    @classmethod
+    def from_rank_lists(
+        cls,
+        order: list[int],
+        hub_ranks: list[list[int]],
+        hub_dists: list[list[Weight]],
+    ) -> "HubLabeling":
+        """Adopt finished per-node labels without replaying every entry.
+
+        ``hub_ranks[v]`` / ``hub_dists[v]`` are ``v``'s label in
+        ascending hub rank — the shape the vectorized builders finish
+        in.  The lists are taken over, not copied.
+        """
+        labels = cls(order)
+        if len(hub_ranks) != labels.n or len(hub_dists) != labels.n:
+            raise QueryError(
+                f"label lists cover {len(hub_ranks)}/{len(hub_dists)} nodes, "
+                f"expected {labels.n}"
+            )
+        labels._hub_ranks = hub_ranks
+        labels._hub_dists = hub_dists
+        return labels
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

@@ -7,9 +7,14 @@ of importance: when the search from root ``r`` reaches ``v`` at distance
 ``L_v``.  The result is a minimal-ish 2-hop cover whose query is a
 sorted-merge over two label arrays.
 
-Both the unweighted (pruned BFS) and weighted (pruned Dijkstra) variants
-are provided — the CT core index runs the weighted variant on the
-reduced graph ``G_{λ+1}`` whose edges carry λ-local distances.
+The CT core index runs PLL on the reduced graph ``G_{λ+1}``, whose
+edges carry λ-local distances, on every default build.  With NumPy
+installed those searches run vectorized
+(:mod:`repro.kernels.pruned_search`: one array-level Bellman–Ford per
+root, weighted or unweighted); the pure-Python pruned BFS and pruned
+Dijkstra below stay as the scalar reference behind ``kernel="python"``
+and on graphs too small for the arrays to pay off.  Both paths build
+the same labels entry for entry.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import time
 from collections import deque
 
 from repro.graphs.graph import INF, Graph, Weight
+from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, construction_kernel
 from repro.labeling.base import (
     DistanceIndex,
     HubLabelBackendMixin,
@@ -44,10 +50,19 @@ class PrunedLandmarkLabeling(HubLabelBackendMixin, DistanceIndex):
 
     method_name = "PLL"
 
-    def __init__(self, graph: Graph, labels: HubLabeling, order: list[int]) -> None:
+    def __init__(
+        self,
+        graph: Graph,
+        labels: HubLabeling,
+        order: list[int],
+        build_kernel: str = KERNEL_PYTHON,
+    ) -> None:
         self.graph = graph
         self.labels = labels
         self.order = order
+        #: Construction kernel that built the labels: ``"numpy"`` or
+        #: ``"python"`` (``kernel`` is the query kernel).
+        self.build_kernel = build_kernel
 
     def distance(self, s: int, t: int) -> Weight:
         """Exact distance via label intersection (kernel-dispatched)."""
@@ -69,6 +84,7 @@ def build_pll(
     budget_exempt: frozenset[int] | None = None,
     workers: int | None = None,
     backend: str = "dict",
+    kernel: str = KERNEL_AUTO,
 ) -> PrunedLandmarkLabeling:
     """Build a PLL index on ``graph``.
 
@@ -90,11 +106,24 @@ def build_pll(
         build_psl` and :meth:`~repro.core.ct_index.CTIndex.build`; PLL's
         pruned searches are inherently sequential (each root's search
         prunes against every earlier root's finished label), so any
-        value is validated and then runs the serial schedule.
+        value is validated and then runs the serial schedule — the
+        vectorized kernel speeds up each search instead.
     backend:
         Label storage of the returned index: ``"dict"`` (mutable
         per-node lists) or ``"flat"`` (CSR arrays, packed after the
         pruned searches finish).  Both answer identically.
+    kernel:
+        Construction path (see :mod:`repro.kernels`): ``"numpy"`` runs
+        every pruned search vectorized
+        (:mod:`repro.kernels.pruned_search`), ``"python"`` the scalar
+        pruned BFS / Dijkstra, and ``"auto"`` (default) vectorizes when
+        NumPy is installed and the graph has at least
+        :data:`~repro.kernels.VECTORIZE_MIN_NODES` nodes.  Graphs whose
+        weights the kernel cannot reproduce exactly (int and float
+        weights mixed, or path lengths beyond ``int64``) are built by
+        the scalar path, and the ``labeling.pll`` span records why.
+        Every path builds the same labels; ``index.build_kernel`` says
+        which one ran.
     """
     validate_backend(backend)
     if workers is not None:
@@ -102,7 +131,8 @@ def build_pll(
 
         resolve_workers(workers)  # validate; PLL always runs serially
     started = time.perf_counter()
-    with obs_span("labeling.pll", n=graph.n, m=graph.m) as pll_span:
+    resolved = construction_kernel(kernel, graph.n)
+    with obs_span("labeling.pll", n=graph.n, m=graph.m, kernel=resolved) as pll_span:
         if order is None:
             order = degree_order(graph)
         else:
@@ -111,19 +141,32 @@ def build_pll(
             budget = MemoryBudget.unlimited()
         if budget_exempt is None:
             budget_exempt = frozenset()
-        labels = HubLabeling(order)
-        if graph.unweighted:
-            _build_unweighted(graph, labels, order, budget, budget_exempt)
-        else:
-            _build_weighted(graph, labels, order, budget, budget_exempt)
-        index = PrunedLandmarkLabeling(graph, labels, order)
+        labels = None
+        if resolved == KERNEL_NUMPY:
+            from repro.kernels.pruned_search import UnsupportedWeights, pruned_search_labels
+
+            try:
+                labels = HubLabeling.from_rank_lists(
+                    order, *pruned_search_labels(graph, order, budget, budget_exempt)
+                )
+            except UnsupportedWeights as exc:
+                resolved = KERNEL_PYTHON
+                pll_span.set(kernel=resolved, fallback=str(exc))
+        if labels is None:
+            labels = HubLabeling(order)
+            if graph.unweighted:
+                _build_unweighted(graph, labels, order, budget, budget_exempt)
+            else:
+                _build_weighted(graph, labels, order, budget, budget_exempt)
+        index = PrunedLandmarkLabeling(graph, labels, order, build_kernel=resolved)
         if backend == "flat":
             index.compact()
         if tracing_enabled():
             pll_span.set(entries=labels.total_entries())
     index.build_seconds = time.perf_counter() - started
     logger.debug(
-        "PLL built: n=%d m=%d entries=%d max_label=%d in %.3fs",
+        "PLL built (%s kernel): n=%d m=%d entries=%d max_label=%d in %.3fs",
+        resolved,
         graph.n,
         graph.m,
         labels.total_entries(),
@@ -140,7 +183,7 @@ def _build_unweighted(
     budget: MemoryBudget,
     budget_exempt: frozenset[int],
 ) -> None:
-    """One pruned BFS per root, in rank order."""
+    """One pruned BFS per root, in rank order (the scalar reference)."""
     dist: list[Weight] = [INF] * graph.n
     for rank, root in enumerate(order):
         root_map = labels.label_rank_map(root)
@@ -172,7 +215,7 @@ def _build_weighted(
     budget: MemoryBudget,
     budget_exempt: frozenset[int],
 ) -> None:
-    """One pruned Dijkstra per root, in rank order."""
+    """One pruned Dijkstra per root, in rank order (the scalar reference)."""
     dist: list[Weight] = [INF] * graph.n
     for rank, root in enumerate(order):
         root_map = labels.label_rank_map(root)

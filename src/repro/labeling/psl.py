@@ -26,7 +26,7 @@ from collections.abc import Iterable
 import repro.obs as obs
 from repro.exceptions import IndexConstructionError
 from repro.graphs.graph import INF, Graph, Weight
-from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, resolve_kernel
+from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, construction_kernel
 from repro.labeling.base import (
     DistanceIndex,
     HubLabelBackendMixin,
@@ -36,12 +36,6 @@ from repro.labeling.base import (
 from repro.labeling.hub_labels import HubLabeling
 from repro.labeling.ordering import degree_order, validate_order
 from repro.obs.tracing import span as obs_span, tracing_enabled
-
-#: Below this node count ``kernel="auto"`` keeps the pure-Python rounds:
-#: the arrays' fixed setup cost dominates on tiny graphs (most test
-#: fixtures and small cores), and both paths commit identical labels,
-#: so the cutoff is purely a performance heuristic.
-VECTORIZE_MIN_NODES = 64
 
 
 class ParallelShortestPathLabeling(HubLabelBackendMixin, DistanceIndex):
@@ -204,16 +198,10 @@ def build_psl(
     from repro.parallel.pool import resolve_workers
 
     worker_count = resolve_workers(workers)
-    # An explicit "numpy" request always vectorizes (resolve_kernel
-    # raised already if NumPy is missing); "auto" additionally requires
-    # the graph to be big enough for the array setup to pay off.  A
-    # vectorized build composes with workers > 1 through the
+    # A vectorized build composes with workers > 1 through the
     # shared-memory fan-out; a python-kernel build with workers > 1
     # keeps the PR 2 multiprocess rounds.
-    resolved = resolve_kernel(kernel, flat=True)
-    vectorize = resolved == KERNEL_NUMPY and (
-        kernel == KERNEL_NUMPY or graph.n >= VECTORIZE_MIN_NODES
-    )
+    vectorize = construction_kernel(kernel, graph.n) == KERNEL_NUMPY
 
     rank = [0] * graph.n
     for r, v in enumerate(order):
@@ -229,7 +217,7 @@ def build_psl(
         n=graph.n,
         m=graph.m,
         workers=worker_count,
-        kernel=KERNEL_NUMPY if vectorize else "python",
+        kernel=KERNEL_NUMPY if vectorize else KERNEL_PYTHON,
     ) as psl_span:
         if vectorize:
             round_stats: dict = {}
@@ -281,13 +269,10 @@ def build_psl(
             else:
                 from repro.kernels.psl_rounds import labels_to_lists
 
-                hub_ranks, hub_dists = labels_to_lists(
-                    graph.n, lab_keys, lab_dists, lab_indptr
+                labels = HubLabeling.from_rank_lists(
+                    order,
+                    *labels_to_lists(graph.n, lab_keys, lab_dists, lab_indptr),
                 )
-                labels = HubLabeling(order)
-                for v in graph.nodes():
-                    for hub_rank, dist in zip(hub_ranks[v], hub_dists[v]):
-                        labels.append_entry(v, hub_rank, dist)
         else:
             round_stats = {}
             # label_maps[v]: rank -> dist, the committed labels of v.
@@ -350,6 +335,7 @@ def build_psl(
         #: Per-round kernel/merge time split of the vectorized paths
         #: (None on the python rounds); scale-bench reports it.
         index.round_stats = round_stats or None
+        index.build_kernel = KERNEL_NUMPY if vectorize else KERNEL_PYTHON
         if backend == "flat":
             index.compact()
         if tracing_enabled():

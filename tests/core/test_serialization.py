@@ -11,6 +11,7 @@ import pytest
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import (
     FORMAT_VERSION,
+    index_document,
     index_fingerprint,
     load_ct_index,
     save_ct_index,
@@ -71,6 +72,18 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_ct_index(index, path)
         assert load_ct_index(path).build_seconds == index.build_seconds
+
+    @pytest.mark.parametrize("backend", ["dict", "flat"])
+    def test_fingerprint_is_the_sorted_document_dump(self, backend):
+        # The fingerprint serializes section by section; its bytes must
+        # stay those of one sorted dump of the whole document.
+        g = random_weighted(gnp_graph(40, 0.1, seed=5), 1, 6, seed=6)
+        index = CTIndex.build(g, 3, backend=backend)
+        document = index_document(index, include_timings=False)
+        expected = json.dumps(
+            document, allow_nan=False, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert index_fingerprint(index) == expected
 
 
 class TestStrictJson:

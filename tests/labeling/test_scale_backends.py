@@ -23,9 +23,10 @@ from repro.graphs.generators.random_graphs import (
     random_weighted,
 )
 from repro.graphs.traversal import bfs_distances
+from repro.kernels import VECTORIZE_MIN_NODES
 from repro.labeling.hopdb import build_hopdb
 from repro.labeling.pll import build_pll
-from repro.labeling.psl import VECTORIZE_MIN_NODES, build_psl
+from repro.labeling.psl import build_psl
 
 needs_numpy = pytest.mark.skipif(
     not kernels.numpy_available(), reason="NumPy not installed"
