@@ -195,9 +195,9 @@ class CTIndex(DistanceIndex):
             :mod:`repro.storage`, packed after construction).  Never
             changes an answer.
         kernel:
-            Kernel selection for both the query path and the vectorized
-            core labeling — PLL's pruned searches or PSL's rounds (see
-            :mod:`repro.kernels`):
+            Kernel selection for the query path, the twin reduction and
+            the vectorized core labeling — PLL's pruned searches or
+            PSL's rounds (see :mod:`repro.kernels`):
             ``"auto"`` (default — NumPy when installed and the backend
             is flat), ``"numpy"`` (required; raises
             :class:`~repro.exceptions.ConfigurationError` when NumPy is
@@ -266,7 +266,7 @@ class CTIndex(DistanceIndex):
         ):
             with obs_span("ct.reduction"):
                 if use_equivalence_reduction:
-                    reduction = eliminate_equivalent_nodes(graph)
+                    reduction = eliminate_equivalent_nodes(graph, kernel=kernel)
                 else:
                     reduction = reduction_identity(graph)
             decomposition, tree_index, core_index, originals, compact, _ = construct(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.exceptions import GraphError
-from repro.graphs.graph import Graph, Weight
+from repro.graphs.graph import INF, Graph, Weight
 
 
 class GraphBuilder:
@@ -60,6 +60,8 @@ class GraphBuilder:
         """Add an undirected edge; normalizes loops and duplicates."""
         if not 0 <= u < self._n or not 0 <= v < self._n:
             raise GraphError(f"edge ({u}, {v}) has a node outside 0..{self._n - 1}")
+        if weight != weight or weight == INF:
+            raise GraphError(f"edge ({u}, {v}) has non-finite weight {weight}")
         if weight <= 0:
             raise GraphError(f"edge ({u}, {v}) has non-positive weight {weight}")
         if u == v:

@@ -1,10 +1,14 @@
 """Static undirected graph with non-negative edge weights.
 
 The :class:`Graph` type is the substrate every index in this library is
-built on.  Nodes are the integers ``0 .. n-1``; the adjacency of each node
-is stored as two parallel tuples (neighbor ids sorted ascending, and their
-edge weights), which makes neighbor scans cheap and the structure
-effectively immutable after construction.
+built on.  Nodes are the integers ``0 .. n-1``; the adjacency is stored
+in CSR form — ``indptr`` and ``indices`` as ``array('q')`` (neighbour
+ids of each row sorted ascending) plus an aligned weight sequence — so
+NumPy consumers wrap it zero-copy with ``np.frombuffer`` and the
+structure is effectively immutable after construction.  The per-node
+tuple rows the scalar algorithms walk (:meth:`Graph.neighbor_ids`,
+:meth:`Graph.neighbor_weights`, :meth:`Graph.neighbors`) are a view,
+built in one pass the first time something asks for them.
 
 Graphs are *simple*: no self-loops and no parallel edges.  Use
 :class:`repro.graphs.builder.GraphBuilder` (or :meth:`Graph.from_edges`)
@@ -14,7 +18,11 @@ to normalize raw edge lists into this form.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Union
 
 from repro.exceptions import GraphError
@@ -25,15 +33,58 @@ Edge = tuple[int, int, Weight]
 #: Distance value used for unreachable node pairs.
 INF = math.inf
 
+#: Slots of the tuple-row view, built on first access.
+_ROW_VIEW = ("_adj_ids", "_adj_weights")
+
+
+def pack_weights(values: list[Weight]) -> array | list[Weight] | None:
+    """The weight storage of a CSR :class:`Graph` for ``values``.
+
+    ``None`` when every weight is the integer 1; ``array('q')`` when all
+    are ints (within int64) and ``array('d')`` when all are floats;
+    otherwise the list itself.  Each weight keeps its Python type, so
+    the tuple view and every fingerprint see exactly the given values.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        if values.count(1) == len(values):
+            return None
+        try:
+            return array("q", values)
+        except OverflowError:
+            return values
+    if kinds == {float}:
+        return array("d", values)
+    return values
+
+
+def int64_array(values) -> array:
+    """``values`` (``array('q')``, an int ndarray or an iterable) as ``array('q')``."""
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    if hasattr(values, "dtype"):  # an ndarray: one buffer copy, no boxing
+        out = array("q")
+        out.frombytes(values.astype("q", copy=False).tobytes())
+        return out
+    return array("q", values)
+
 
 class Graph:
     """An undirected, weighted, simple graph on nodes ``0 .. n-1``.
 
     Instances should be treated as immutable; all mutating workflows go
     through :class:`repro.graphs.builder.GraphBuilder`.
+
+    Storage is CSR: :attr:`indptr` (``n + 1`` offsets) and
+    :attr:`indices` (``2m`` neighbour ids, each row ascending) are
+    ``array('q')``; :attr:`weights` is ``None`` when every weight is the
+    integer 1, else a sequence aligned with :attr:`indices` (see
+    :func:`pack_weights`).  The tuple rows behind
+    :meth:`neighbor_ids` / :meth:`neighbor_weights` / :meth:`neighbors`
+    are built in one O(n + m) pass on first use and kept.
     """
 
-    __slots__ = ("_n", "_m", "_adj_ids", "_adj_weights", "_unweighted")
+    __slots__ = ("_n", "_m", "_indptr", "_indices", "_weights", "_unweighted", *_ROW_VIEW)
 
     def __init__(
         self,
@@ -53,7 +104,6 @@ class Graph:
             raise GraphError(f"node count must be non-negative, got {n}")
         if len(adjacency) != n:
             raise GraphError(f"adjacency has {len(adjacency)} rows for {n} nodes")
-        self._n = n
         adj_ids: list[tuple[int, ...]] = []
         adj_weights: list[tuple[Weight, ...]] = []
         m2 = 0
@@ -72,10 +122,24 @@ class Graph:
             m2 += len(ids)
         if m2 % 2 != 0:
             raise GraphError("adjacency is not symmetric (odd half-edge count)")
+        self._adopt_rows(n, adj_ids, adj_weights, unweighted)
+
+    def _adopt_rows(
+        self,
+        n: int,
+        adj_ids: list[tuple[int, ...]],
+        adj_weights: list[tuple[Weight, ...]],
+        unweighted: bool,
+    ) -> None:
+        """Set the CSR from sorted tuple rows, keeping the rows as the view."""
+        self._n = n
+        self._indptr = array("q", accumulate(map(len, adj_ids), initial=0))
+        self._indices = array("q", chain.from_iterable(adj_ids))
+        self._weights = pack_weights(list(chain.from_iterable(adj_weights)))
+        self._m = len(self._indices) // 2
+        self._unweighted = unweighted
         self._adj_ids = adj_ids
         self._adj_weights = adj_weights
-        self._m = m2 // 2
-        self._unweighted = unweighted
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -111,26 +175,79 @@ class Graph:
         n: int,
         adj_ids: list[tuple[int, ...]],
         adj_weights: list[tuple[Weight, ...]],
-        m: int,
         *,
         unweighted: bool,
     ) -> "Graph":
         """Adopt pre-validated sorted adjacency rows without re-checking.
 
         Internal fast path for loaders that have already enforced the
-        simple-graph invariants in bulk (the binary snapshot reader
+        simple-graph invariants in bulk (the scalar snapshot reader
         checks bounds, weights, loops, and duplicates against
         CRC-verified arrays before calling this).  ``adj_ids[v]`` must
         be strictly ascending and symmetric with ``adj_weights``
-        aligned; ``m`` is the edge count.
+        aligned.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt_rows(n, adj_ids, adj_weights, unweighted)
+        return graph
+
+    @classmethod
+    def _from_csr(
+        cls,
+        n: int,
+        indptr,
+        indices,
+        weights: array | list[Weight] | None,
+        *,
+        unweighted: bool,
+    ) -> "Graph":
+        """Adopt a pre-validated CSR without re-checking.
+
+        ``indptr`` / ``indices`` may be ``array('q')`` or integer
+        ndarrays; each row must be strictly ascending and the structure
+        symmetric.  ``weights`` is already in :func:`pack_weights` form.
+        The array producers (edge-list loader, twin reduction, snapshot
+        decoder) build graphs this way, without a tuple view.
         """
         graph = cls.__new__(cls)
         graph._n = n
-        graph._adj_ids = adj_ids
-        graph._adj_weights = adj_weights
-        graph._m = m
+        graph._indptr = int64_array(indptr)
+        graph._indices = int64_array(indices)
+        graph._weights = weights
+        graph._m = len(graph._indices) // 2
         graph._unweighted = unweighted
         return graph
+
+    def __getattr__(self, name: str):
+        # Only reached for unset slots: build the tuple-row view once.
+        if name in _ROW_VIEW:
+            self._build_row_view()
+            return object.__getattribute__(self, name)
+        raise AttributeError(name)
+
+    def _build_row_view(self) -> None:
+        """Split the CSR into the per-node tuple rows, in one pass."""
+        bounds = self._indptr.tolist()
+        flat_ids = self._indices.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        adj_ids = [tuple(flat_ids[lo:hi]) for lo, hi in spans]
+        weights = self._weights
+        if weights is None:
+            widest = max(map(len, adj_ids), default=0)
+            unit_rows = [(1,) * k for k in range(widest + 1)]
+            adj_weights = [unit_rows[len(ids)] for ids in adj_ids]
+        else:
+            flat_weights = weights.tolist() if isinstance(weights, array) else weights
+            adj_weights = [tuple(flat_weights[lo:hi]) for lo, hi in spans]
+        self._adj_ids = adj_ids
+        self._adj_weights = adj_weights
+
+    def __reduce__(self):
+        # Pickle the CSR only; the tuple view is rebuilt on demand.
+        return (
+            _graph_from_csr,
+            (self._n, self._indptr, self._indices, self._weights, self._unweighted),
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -151,6 +268,21 @@ class Graph:
         """True when every edge weight is exactly 1."""
         return self._unweighted
 
+    @property
+    def indptr(self) -> array:
+        """CSR row offsets, ``array('q')`` of length ``n + 1`` (read-only)."""
+        return self._indptr
+
+    @property
+    def indices(self) -> array:
+        """CSR neighbour ids, ``array('q')`` of length ``2m``, each row ascending."""
+        return self._indices
+
+    @property
+    def weights(self) -> array | list[Weight] | None:
+        """Weights aligned with :attr:`indices`; ``None`` when all are the int 1."""
+        return self._weights
+
     def nodes(self) -> range:
         """All node ids, as a range."""
         return range(self._n)
@@ -158,7 +290,7 @@ class Graph:
     def degree(self, v: int) -> int:
         """Number of neighbors of ``v``."""
         self._check_node(v)
-        return len(self._adj_ids[v])
+        return self._indptr[v + 1] - self._indptr[v]
 
     def neighbor_ids(self, v: int) -> tuple[int, ...]:
         """Neighbor ids of ``v``, sorted ascending."""
@@ -177,30 +309,25 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when ``{u, v}`` is an edge."""
-        self._check_node(u)
-        self._check_node(v)
-        if len(self._adj_ids[u]) > len(self._adj_ids[v]):
-            u, v = v, u
-        return _binary_contains(self._adj_ids[u], v)
+        return self._edge_position(u, v) >= 0
 
     def edge_weight(self, u: int, v: int) -> Weight:
         """Weight of edge ``{u, v}``; raises :class:`GraphError` if absent."""
-        self._check_node(u)
-        self._check_node(v)
-        ids = self._adj_ids[u]
-        idx = _binary_find(ids, v)
-        if idx < 0:
+        pos = self._edge_position(u, v)
+        if pos < 0:
             raise GraphError(f"edge ({u}, {v}) does not exist")
-        return self._adj_weights[u][idx]
+        return 1 if self._weights is None else self._weights[pos]
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over every edge once as ``(u, v, w)`` with ``u < v``."""
+        indptr, indices, weights = self._indptr, self._indices, self._weights
         for u in range(self._n):
-            ids = self._adj_ids[u]
-            weights = self._adj_weights[u]
-            for v, w in zip(ids, weights):
-                if u < v:
-                    yield (u, v, w)
+            hi = indptr[u + 1]
+            lo = bisect_right(indices, u, indptr[u], hi)
+            if weights is None:
+                yield from zip(repeat(u), indices[lo:hi], repeat(1))
+            else:
+                yield from zip(repeat(u), indices[lo:hi], weights[lo:hi])
 
     def total_weight(self) -> Weight:
         """Sum of all edge weights."""
@@ -208,9 +335,8 @@ class Graph:
 
     def max_degree(self) -> int:
         """Largest node degree (0 for an empty graph)."""
-        if self._n == 0:
-            return 0
-        return max(len(ids) for ids in self._adj_ids)
+        indptr = self._indptr
+        return max(map(sub, indptr[1:], indptr), default=0)
 
     def average_degree(self) -> float:
         """Mean node degree (0.0 for an empty graph)."""
@@ -257,8 +383,9 @@ class Graph:
 
     def with_unit_weights(self) -> "Graph":
         """Return the same topology with all edge weights replaced by 1."""
-        adjacency = [[(u, 1) for u in self._adj_ids[v]] for v in range(self._n)]
-        return Graph(self._n, adjacency, unweighted=True)
+        return Graph._from_csr(
+            self._n, self._indptr, self._indices, None, unweighted=True
+        )
 
     # ------------------------------------------------------------------
     # Dunder methods
@@ -271,14 +398,18 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
+        if not (
             self._n == other._n
-            and self._adj_ids == other._adj_ids
-            and self._adj_weights == other._adj_weights
-        )
+            and self._indptr == other._indptr
+            and self._indices == other._indices
+        ):
+            return False
+        if self._weights is None and other._weights is None:
+            return True
+        return self._weight_list() == other._weight_list()
 
     def __hash__(self) -> int:
-        return hash((self._n, tuple(self._adj_ids)))
+        return hash((self._n, tuple(self._indptr), tuple(self._indices)))
 
     # ------------------------------------------------------------------
     # Internals
@@ -288,20 +419,21 @@ class Graph:
         if not 0 <= v < self._n:
             raise GraphError(f"node {v} is out of range for a {self._n}-node graph")
 
+    def _edge_position(self, u: int, v: int) -> int:
+        """CSR position of ``v`` in the row of ``u``, or -1 if not adjacent."""
+        self._check_node(u)
+        self._check_node(v)
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        pos = bisect_left(self._indices, v, lo, hi)
+        return pos if pos < hi and self._indices[pos] == v else -1
 
-def _binary_find(ids: tuple[int, ...], target: int) -> int:
-    """Index of ``target`` in the sorted tuple ``ids``, or -1 if absent."""
-    lo, hi = 0, len(ids)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ids[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(ids) and ids[lo] == target:
-        return lo
-    return -1
+    def _weight_list(self) -> list[Weight]:
+        """Every weight, aligned with :attr:`indices`, as a list."""
+        if self._weights is None:
+            return [1] * len(self._indices)
+        return list(self._weights)
 
 
-def _binary_contains(ids: tuple[int, ...], target: int) -> bool:
-    return _binary_find(ids, target) >= 0
+def _graph_from_csr(n, indptr, indices, weights, unweighted) -> Graph:
+    """Unpickling hook of :class:`Graph`."""
+    return Graph._from_csr(n, indptr, indices, weights, unweighted=unweighted)

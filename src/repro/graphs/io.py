@@ -6,25 +6,36 @@ layout of SNAP / Network Repository / KONECT downloads: one edge per line
 ids in a file may be arbitrary non-negative integers; they are compacted
 to ``0 .. n-1`` on load and the mapping is returned alongside the graph.
 
-Two loaders share the format: :func:`read_edge_list` buffers the parsed
-lines (fine up to ~10⁴ nodes), while :func:`read_edge_list_chunked`
-consumes the file in bounded chunks of edges — the loader the 10⁵–10⁶
-scale tiers use.  Both return identical graphs for identical files.
+Two loaders share the format and, with NumPy, one array assembler that
+compacts ids with ``np.unique``, deduplicates with one sort, and hands
+the CSR straight to :class:`~repro.graphs.graph.Graph`:
+:func:`read_edge_list` parses the whole file in bulk, while
+:func:`read_edge_list_chunked` consumes it in bounded chunks of edges —
+the loader the 10⁵–10⁶ scale tiers use.  Without NumPy both stream the
+file into a :class:`~repro.graphs.builder.GraphBuilder`.  Both return
+identical graphs for identical files.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Union
 
 from repro.exceptions import GraphFormatError
 from repro.graphs.builder import GraphBuilder
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, pack_weights
 
 PathLike = Union[str, os.PathLike]
 
 _COMMENT_PREFIXES = ("#", "%")
+
+#: The ASCII bytes ``str.split()`` treats as whitespace.
+_SPACE_BYTES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+#: Default ``chunk_edges`` of :func:`read_edge_list_chunked`.
+_CHUNK_EDGES = 1 << 18
 
 
 def read_edge_list(path: PathLike) -> tuple[Graph, list[int]]:
@@ -33,47 +44,24 @@ def read_edge_list(path: PathLike) -> tuple[Graph, list[int]]:
     Returns ``(graph, original_ids)`` where ``original_ids[i]`` is the node
     id that appeared in the file for compacted node ``i``.
 
-    Raises :class:`GraphFormatError` for malformed lines.
+    With NumPy the whole file is parsed in bulk into edge arrays; only
+    when that parse rejects the input is the file re-scanned line by
+    line, so malformed input raises :class:`GraphFormatError` naming
+    ``path:line``.  Without NumPy the file streams through
+    :func:`read_edge_list_chunked`'s pure-Python path.
     """
-    raw_edges: list[tuple[int, int, float]] = []
-    seen_ids: set[int] = set()
+    from repro.kernels import numpy_available
+
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-                continue
-            parts = stripped.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{line_no}: expected 'u v' or 'u v w', got {stripped!r}"
-                )
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{line_no}: non-integer node id") from exc
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}:{line_no}: negative node id")
-            weight: float = 1
-            if len(parts) == 3:
-                try:
-                    weight = _parse_weight(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(f"{path}:{line_no}: bad weight {parts[2]!r}") from exc
-            raw_edges.append((u, v, weight))
-            seen_ids.add(u)
-            seen_ids.add(v)
-    original_ids = sorted(seen_ids)
-    compact = {orig: i for i, orig in enumerate(original_ids)}
-    builder = GraphBuilder(len(original_ids))
-    for u, v, w in raw_edges:
-        builder.add_edge(compact[u], compact[v], w)
-    return builder.build(), original_ids
+    if numpy_available():
+        edges = _parse_bulk(path)
+        if edges is not None:
+            return _assemble_csr(*edges)
+    return _read_chunked_python(path, _CHUNK_EDGES)
 
 
 def read_edge_list_chunked(
-    path: PathLike, *, chunk_edges: int = 1 << 18
+    path: PathLike, *, chunk_edges: int = _CHUNK_EDGES
 ) -> tuple[Graph, list[int]]:
     """Load an edge-list file in bounded chunks of parsed edges.
 
@@ -106,8 +94,8 @@ def read_edge_list_chunked(
 def _iter_edge_chunks(path: Path, chunk_edges: int):
     """Yield ``(chunk_index, us, vs, ws)`` lists of validated edges.
 
-    Shared by both chunked backends so every malformed line fails with
-    the same ``path:line (chunk k)`` diagnostic on either path.
+    Shared by every line-by-line path so each malformed line fails with
+    the same ``path:line (chunk k)`` diagnostic.
     """
     us: list[int] = []
     vs: list[int] = []
@@ -143,6 +131,11 @@ def _iter_edge_chunks(path: Path, chunk_edges: int):
                     raise GraphFormatError(
                         f"{path}:{line_no}: bad weight {parts[2]!r} (chunk {chunk_idx})"
                     ) from exc
+                if not math.isfinite(weight):
+                    raise GraphFormatError(
+                        f"{path}:{line_no}: non-finite weight {weight} "
+                        f"(chunk {chunk_idx})"
+                    )
                 if weight <= 0:
                     raise GraphFormatError(
                         f"{path}:{line_no}: non-positive weight {weight} "
@@ -159,76 +152,132 @@ def _iter_edge_chunks(path: Path, chunk_edges: int):
         yield chunk_idx, us, vs, ws
 
 
+def _parse_bulk(path: Path):
+    """Parse the whole file into ``(us, vs, ws)`` arrays, or ``None``.
+
+    The text is tokenized as bytes in a few array passes: tokens are
+    runs of non-whitespace bytes, lines whose first token starts with
+    ``#`` or ``%`` are dropped, node ids must be plain ASCII digits
+    (at most 18) and weights go through :func:`_parse_weight`.  ``ws``
+    is ``None`` when no line carries a weight.  Anything else — a line
+    the line scanner would reject, or one it would read differently
+    (signs, non-ASCII digits or spaces, huge ids) — returns ``None``,
+    and the caller re-reads the file line by line.
+    """
+    import numpy as np
+
+    raw = path.read_text(encoding="utf-8").encode("utf-8")
+    text = np.frombuffer(raw, dtype=np.uint8)
+    space = np.zeros(256, dtype=bool)
+    space[list(_SPACE_BYTES)] = True
+    # Tokens start after and end before a blank (or the text's ends).
+    blank = np.concatenate(([True], space[text], [True]))
+    starts = np.flatnonzero(blank[:-2] & ~blank[1:-1])
+    ends = np.flatnonzero(~blank[1:-1] & blank[2:]) + 1
+    del blank
+    line = np.searchsorted(np.flatnonzero(text == ord("\n")), starts)
+    head = np.ones(starts.size, dtype=bool)
+    head[1:] = line[1:] != line[:-1]
+    comment = np.isin(text[starts[head]], np.frombuffer(b"#%", dtype=np.uint8))
+    # Drop every token of a comment line.
+    keep = ~np.repeat(comment, np.diff(np.append(np.flatnonzero(head), starts.size)))
+    starts, ends, head = starts[keep], ends[keep], head[keep]
+    heads = np.flatnonzero(head)
+    widths = np.diff(np.append(heads, starts.size))
+    if ((widths < 2) | (widths > 3)).any():
+        return None
+
+    def ids(at: np.ndarray):
+        first, lens = starts[at], ends[at] - starts[at]
+        longest = int(lens.max(initial=0))
+        if longest > 18:
+            return None
+        values = np.zeros(at.size, dtype=np.int64)
+        for k in range(longest):  # Horner's rule, one digit column at a time
+            has = lens > k
+            digit = text[first[has] + k].astype(np.int64) - ord("0")
+            if ((digit < 0) | (digit > 9)).any():
+                return None
+            values[has] = values[has] * 10 + digit
+        return values
+
+    us, vs = ids(heads), ids(heads + 1)
+    if us is None or vs is None:
+        return None
+    ws = None
+    weighted = widths == 3
+    if weighted.any():
+        at = heads[weighted] + 2
+        try:
+            values = [
+                _parse_weight(raw[lo:hi])
+                for lo, hi in zip(starts[at].tolist(), ends[at].tolist())
+            ]
+        except ValueError:
+            return None
+        ws = np.ones(heads.size, dtype=np.float64)
+        ws[weighted] = values
+        if not bool((np.isfinite(ws) & (ws > 0)).all()):
+            return None
+    return us, vs, ws
+
+
+def _assemble_csr(us, vs, ws) -> tuple[Graph, list[int]]:
+    """The CSR graph of raw edge arrays, with GraphBuilder's normalization.
+
+    Ids are compacted with ``np.unique``; self-loops are dropped and
+    duplicates (either orientation) keep the minimum weight, found by
+    one sort.  ``ws`` is a float64 array or ``None`` (every weight 1).
+    """
+    import numpy as np
+
+    from repro.kernels.graph_arrays import symmetric_csr
+
+    ids, inverse = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    n = int(ids.size)
+    cu, cv = inverse[: us.size], inverse[us.size :]
+    keep = cu != cv
+    lo = np.minimum(cu[keep], cv[keep])
+    hi = np.maximum(cu[keep], cv[keep])
+    keys = lo * np.int64(n) + hi
+    if ws is None:
+        keys = np.unique(keys)
+        min_w = None
+    else:
+        # Sort by key, then weight: the first of each run is the minimum.
+        weights = ws[keep]
+        order = np.lexsort((weights, keys))
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        min_w = weights[order][first]
+    indptr, indices, source = symmetric_csr(n, *np.divmod(keys, np.int64(max(n, 1))))
+    unweighted = min_w is None or bool((min_w == 1).all())
+    weights = None
+    if not unweighted:
+        flat = min_w[source].tolist()
+        weights = pack_weights([int(w) if w.is_integer() else w for w in flat])
+    graph = Graph._from_csr(n, indptr, indices, weights, unweighted=unweighted)
+    return graph, ids.tolist()
+
+
 def _read_chunked_numpy(path: Path, chunk_edges: int) -> tuple[Graph, list[int]]:
-    """Chunked load via flat arrays: compact, dedup, and build in bulk."""
+    """Chunked load: validated chunks become arrays, then one bulk assembly."""
     import numpy as np
 
     u_chunks: list = []
     v_chunks: list = []
     w_chunks: list = []
-    ids = np.empty(0, dtype=np.int64)
     for _, us, vs, ws in _iter_edge_chunks(path, chunk_edges):
-        u_arr = np.asarray(us, dtype=np.int64)
-        v_arr = np.asarray(vs, dtype=np.int64)
-        u_chunks.append(u_arr)
-        v_chunks.append(v_arr)
+        u_chunks.append(np.asarray(us, dtype=np.int64))
+        v_chunks.append(np.asarray(vs, dtype=np.int64))
         w_chunks.append(np.asarray(ws, dtype=np.float64))
-        ids = np.union1d(ids, np.concatenate([u_arr, v_arr]))
     if not u_chunks:
         return Graph.empty(0), []
-    n = int(ids.size)
-    n64 = np.int64(n)
-
-    cu = np.searchsorted(ids, np.concatenate(u_chunks))
-    cv = np.searchsorted(ids, np.concatenate(v_chunks))
-    weights = np.concatenate(w_chunks)
-    # GraphBuilder semantics in bulk: drop self-loops, canonicalize the
-    # endpoint order, keep the minimum weight among duplicates.
-    keep = cu != cv
-    lo = np.minimum(cu[keep], cv[keep])
-    hi = np.maximum(cu[keep], cv[keep])
-    weights = weights[keep]
-    if lo.size == 0:
-        return Graph.empty(n), ids.tolist()
-    edge_keys = lo * n64 + hi
-    sort_idx = np.argsort(edge_keys, kind="stable")
-    edge_keys = edge_keys[sort_idx]
-    weights = weights[sort_idx]
-    first = np.empty(edge_keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(edge_keys[1:], edge_keys[:-1], out=first[1:])
-    group_offsets = np.flatnonzero(first)
-    min_w = np.minimum.reduceat(weights, group_offsets)
-    uniq_keys = edge_keys[first]
-    e_lo = uniq_keys // n64
-    e_hi = uniq_keys % n64
-
-    owners = np.concatenate([e_lo, e_hi])
-    nbrs = np.concatenate([e_hi, e_lo])
-    wts = np.concatenate([min_w, min_w])
-    row_order = np.lexsort((nbrs, owners))
-    nbrs = nbrs[row_order]
-    wts = wts[row_order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-
-    unweighted = bool((min_w == 1).all())
-    nbr_list = nbrs.tolist()
-    offsets = indptr.tolist()
-    adj_ids = [
-        tuple(nbr_list[offsets[v] : offsets[v + 1]]) for v in range(n)
-    ]
-    if unweighted:
-        adj_weights = [(1,) * len(row) for row in adj_ids]
-    else:
-        w_list = [int(w) if w.is_integer() else w for w in wts.tolist()]
-        adj_weights = [
-            tuple(w_list[offsets[v] : offsets[v + 1]]) for v in range(n)
-        ]
-    graph = Graph._from_trusted_rows(
-        n, adj_ids, adj_weights, int(e_lo.size), unweighted=unweighted
+    return _assemble_csr(
+        np.concatenate(u_chunks), np.concatenate(v_chunks), np.concatenate(w_chunks)
     )
-    return graph, ids.tolist()
 
 
 def _read_chunked_python(path: Path, chunk_edges: int) -> tuple[Graph, list[int]]:

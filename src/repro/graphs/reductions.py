@@ -13,6 +13,12 @@ amount of bookkeeping:
 
 The reduction is defined for unweighted graphs (all the paper's datasets
 are unweighted); weighted inputs are returned unreduced.
+
+Two paths compute the same reduction field for field: the array kernel
+:func:`repro.kernels.graph_arrays.eliminate_twins`, which hashes and
+compares the rows of the graph's CSR and builds the quotient graph as a
+CSR, and the scalar dict-of-tuples path below, which stays as the
+NumPy-less path and the test oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from collections import defaultdict
 from repro.exceptions import GraphError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import INF, Graph, Weight
+from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, construction_kernel
+from repro.obs.tracing import span as obs_span
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,6 +51,9 @@ class EquivalenceReduction:
     twin_kind:
         ``twin_kind[v]`` is ``"true"`` / ``"false"`` for nodes folded into
         a multi-member class and ``None`` for singleton classes.
+    build_kernel:
+        ``"numpy"`` when the array kernel computed the reduction,
+        ``"python"`` otherwise (not part of equality).
     """
 
     original: Graph
@@ -50,6 +61,7 @@ class EquivalenceReduction:
     representative: list[int]
     originals: list[int]
     twin_kind: list[str | None]
+    build_kernel: str = dataclasses.field(default=KERNEL_PYTHON, compare=False)
 
     @property
     def removed_count(self) -> int:
@@ -86,24 +98,47 @@ class EquivalenceReduction:
         return reduced_distance
 
 
-def eliminate_equivalent_nodes(graph: Graph) -> EquivalenceReduction:
+def eliminate_equivalent_nodes(
+    graph: Graph, *, kernel: str = KERNEL_AUTO
+) -> EquivalenceReduction:
     """Collapse every twin class of ``graph`` to one representative.
 
     A single pass folds both false twins (equal open neighborhoods) and
     true twins (equal closed neighborhoods).  Weighted graphs are
     returned unreduced because twin distances are no longer the constant
     1 / 2 the query-time correction relies on.
-    """
-    identity = list(range(graph.n))
-    if not graph.unweighted:
-        return EquivalenceReduction(
-            original=graph,
-            reduced=graph,
-            representative=identity,
-            originals=identity.copy(),
-            twin_kind=[None] * graph.n,
-        )
 
+    ``kernel`` selects the path as for every builder (see
+    :func:`repro.kernels.construction_kernel`): the array kernel runs on
+    graphs whose weights are all the integer 1; the scalar path runs
+    otherwise.  Both give the same reduction; ``build_kernel`` on the
+    result, and the ``graphs.reduction`` span, say which one ran.
+    """
+    resolved = construction_kernel(kernel, graph.n)
+    if not graph.unweighted:
+        return reduction_identity(graph)
+    if resolved == KERNEL_NUMPY and graph.weights is not None:
+        # Only the scalar path carries weights like 1.0 into the reduced graph.
+        resolved = KERNEL_PYTHON
+    with obs_span("graphs.reduction", n=graph.n, m=graph.m, kernel=resolved):
+        if resolved == KERNEL_NUMPY:
+            from repro.kernels.graph_arrays import eliminate_twins
+
+            reduced, representative, originals, twin_kind = eliminate_twins(graph)
+            return EquivalenceReduction(
+                original=graph,
+                reduced=reduced,
+                representative=representative,
+                originals=originals,
+                twin_kind=twin_kind,
+                build_kernel=KERNEL_NUMPY,
+            )
+        return _eliminate_scalar(graph)
+
+
+def _eliminate_scalar(graph: Graph) -> EquivalenceReduction:
+    """The dict-of-tuples twin reduction of an unweighted ``graph``."""
+    identity = list(range(graph.n))
     false_classes: dict[tuple[int, ...], list[int]] = defaultdict(list)
     true_classes: dict[tuple[int, ...], list[int]] = defaultdict(list)
     for v in graph.nodes():

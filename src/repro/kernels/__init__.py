@@ -19,7 +19,15 @@ and the kernels that build 2-hop labels:
   array-level Bellman–Ford per root (weighted and unweighted), which
   labels the CT core on every default build;
 * :mod:`repro.kernels.psl_rounds` — PSL's propagation rounds over CSR
-  frontier arrays.
+  frontier arrays;
+
+and the kernels that run the build's graph steps on
+:class:`~repro.graphs.graph.Graph`'s CSR arrays:
+
+* :mod:`repro.kernels.graph_arrays` — the twin reduction, the CSR of a
+  deduplicated edge list (the edge-list loader) and the upper-triangle
+  edge arrays (the snapshot writer).  The loader and the writer use it
+  whenever NumPy is installed: their output is byte-identical either way.
 
 NumPy stays **optional**: this module imports without it, and the
 submodules above (which do ``import numpy``) are only loaded once

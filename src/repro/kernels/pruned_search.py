@@ -42,11 +42,12 @@ table, probed flags) is reset only where the root touched it.
 
 from __future__ import annotations
 
-from itertools import chain
+from array import array
 
 import numpy as np
 
 from repro.graphs.graph import Graph, Weight
+from repro.kernels.graph_arrays import csr_views
 from repro.kernels.psl_rounds import expand_runs
 from repro.labeling.base import MemoryBudget
 
@@ -142,24 +143,28 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return values[slot[values] == positions]
 
 
-def _rank_weights(graph: Graph, order: list[int], m2: int) -> np.ndarray:
-    """Edge weights in the rank-space CSR order, typed for exact sums.
+def _rank_weights(graph: Graph, positions: np.ndarray) -> np.ndarray:
+    """Edge weights at CSR ``positions`` (the rank-space order), typed for exact sums.
 
     Unweighted graphs count integer hops whatever the stored weights (a
     graph of ``1.0`` weights is unweighted too), as the scalar BFS does.
     Raises :class:`UnsupportedWeights` for weights the kernel cannot
     reproduce exactly.
     """
-    if graph.unweighted:
-        return np.ones(m2, dtype=np.int64)
-    weights = list(chain.from_iterable(map(graph.neighbor_weights, order)))
-    kinds = set(map(type, weights))
-    if kinds <= {int}:  # also an edgeless graph
-        if weights and max(weights) * graph.n >= int(_INT_INF):
+    weights = graph.weights
+    if graph.unweighted or weights is None:
+        return np.ones(positions.size, dtype=np.int64)
+    if isinstance(weights, array) and weights.typecode == "q":
+        picked = np.frombuffer(weights, dtype=np.int64)[positions]
+        if picked.size and int(picked.max()) * graph.n >= int(_INT_INF):
             raise UnsupportedWeights("path lengths exceed int64")
-        return np.array(weights, dtype=np.int64)
-    if kinds == {float}:
-        return np.array(weights, dtype=np.float64)
+        return picked
+    if isinstance(weights, array) and weights.typecode == "d":
+        return np.frombuffer(weights, dtype=np.float64)[positions]
+    # A list: ints beyond int64, int and float mixed, or non-native types.
+    kinds = set(map(type, weights))
+    if kinds <= {int}:
+        raise UnsupportedWeights("path lengths exceed int64")
     if kinds <= {int, float}:
         raise UnsupportedWeights("mixed int and float weights")
     raise UnsupportedWeights("non-native weight types")
@@ -183,15 +188,17 @@ def pruned_search_labels(
     not charged.
     """
     n = graph.n
+    node_of = np.asarray(order, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    degrees = np.fromiter((graph.degree(v) for v in order), dtype=np.int64, count=n)
+    rank[node_of] = np.arange(n, dtype=np.int64)
+    # The rank-space CSR: row i is node order[i]'s row, gathered once.
+    graph_indptr, graph_indices = csr_views(graph)
+    degrees = np.diff(graph_indptr)[node_of]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    m2 = int(indptr[-1])
-    weights = _rank_weights(graph, order, m2)
-    neighbor_ids = chain.from_iterable(map(graph.neighbor_ids, order))
-    nbrs = rank[np.fromiter(neighbor_ids, dtype=np.int64, count=m2)]
+    positions = expand_runs(graph_indptr[node_of], degrees)
+    weights = _rank_weights(graph, positions)
+    nbrs = rank[graph_indices[positions]]
     dtype = weights.dtype
     floats = dtype == np.float64
     inf = np.inf if floats else _INT_INF

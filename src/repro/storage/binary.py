@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.exceptions import ReproError, SerializationError
-from repro.graphs.graph import INF, Graph, Weight
+from repro.graphs.graph import INF, Graph, Weight, int64_array, pack_weights
 from repro.obs.tracing import span as obs_span, tracing_enabled
 from repro.graphs.reductions import EquivalenceReduction
 from repro.storage.flat_labels import FlatLabelStore
@@ -130,12 +130,22 @@ def _narrowed(values: array) -> array:
 
     Integer arrays only — floats and empty arrays come back unchanged.
     Signed arrays stay signed (the -1 INF sentinel survives), unsigned
-    stay unsigned.
+    stay unsigned.  With NumPy the bounds and the recoding run as array
+    operations.
     """
     if values.typecode not in _INT_CODES or not len(values):
         return values
+    from repro.kernels import numpy_available
+
+    view = None
+    if numpy_available():
+        import numpy as np
+
+        view = np.frombuffer(getattr(values, "raw", values), dtype=values.typecode)
+        lo, hi = int(view.min()), int(view.max())
+    else:
+        lo, hi = min(values), max(values)
     signed = values.typecode in _SIGNED_INT_CODES
-    lo, hi = min(values), max(values)
     for code in _SIGNED_INT_CODES if signed else _UNSIGNED_INT_CODES:
         bits = array(code).itemsize * 8
         if signed:
@@ -143,7 +153,13 @@ def _narrowed(values: array) -> array:
         else:
             fits = hi < 1 << bits
         if fits:
-            return values if code == values.typecode else array(code, values)
+            if code == values.typecode:
+                return values
+            if view is None:
+                return array(code, values)
+            narrow = array(code)
+            narrow.frombytes(view.astype(code).tobytes())
+            return narrow
     return values  # pragma: no cover - 'q'/'Q' always fit
 
 
@@ -267,17 +283,37 @@ def _weights_from_array(packed: array) -> list[Weight]:
 
 
 def _put_graph(buf: bytearray, graph: Graph) -> None:
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[Weight] = []
-    for u, v, w in graph.edges():
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+    """``n`` then the ``u < v`` edge arrays, in :meth:`Graph.edges` order."""
+    from repro.kernels import numpy_available
+
     _put_u64(buf, graph.n)
-    _put_narrow(buf, array("q", us))
-    _put_narrow(buf, array("q", vs))
-    _put_narrow(buf, _weights_to_array(ws))
+    if not numpy_available():
+        us: list[int] = []
+        vs: list[int] = []
+        ws: list[Weight] = []
+        for u, v, w in graph.edges():
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+        _put_narrow(buf, array("q", us))
+        _put_narrow(buf, array("q", vs))
+        _put_narrow(buf, _weights_to_array(ws))
+        return
+    import numpy as np
+
+    from repro.kernels.graph_arrays import upper_triangle
+
+    us, vs, positions = upper_triangle(graph)
+    _put_narrow(buf, int64_array(us))
+    _put_narrow(buf, int64_array(vs))
+    weights = graph.weights
+    if weights is None:
+        _put_narrow(buf, int64_array(np.ones(positions.size, dtype=np.int64)))
+    elif isinstance(weights, array) and weights.typecode == "q":
+        _put_narrow(buf, int64_array(np.frombuffer(weights, dtype=np.int64)[positions]))
+    else:
+        picked = positions.tolist()
+        _put_narrow(buf, _weights_to_array([weights[p] for p in picked]))
 
 
 def _read_graph(cursor: _Cursor) -> Graph:
@@ -340,9 +376,7 @@ def _read_graph(cursor: _Cursor) -> Graph:
             )
         adj_ids.append(ids)
         adj_weights.append(row_weights)
-    return Graph._from_trusted_rows(
-        n, adj_ids, adj_weights, len(us), unweighted=unweighted
-    )
+    return Graph._from_trusted_rows(n, adj_ids, adj_weights, unweighted=unweighted)
 
 
 def _assemble_graph_numpy(name: str, n: int, us, vs, packed_ws) -> Graph:
@@ -403,19 +437,15 @@ def _assemble_graph_numpy(name: str, n: int, us, vs, packed_ws) -> Graph:
             raise SerializationError(
                 f"section {name!r} holds parallel edges at node {int(src[hits[0]])}"
             )
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
-    bounds = bounds.tolist()
-    ids_flat = dst.tolist()
-    adj_ids = [tuple(ids_flat[bounds[i] : bounds[i + 1]]) for i in range(n)]
-    if unweighted:
-        adj_weights: list[tuple[Weight, ...]] = [(1,) * len(ids) for ids in adj_ids]
-    else:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    weights = None
+    if not unweighted:
         wt = np.concatenate([w, w])[order].tolist()
         if has_inf:
             wt = [INF if value == INF_SENTINEL else value for value in wt]
-        adj_weights = [tuple(wt[bounds[i] : bounds[i + 1]]) for i in range(n)]
-    return Graph._from_trusted_rows(n, adj_ids, adj_weights, m, unweighted=unweighted)
+        weights = pack_weights(wt)
+    return Graph._from_csr(n, indptr, dst, weights, unweighted=unweighted)
 
 
 def _skip_graph(cursor: _Cursor) -> tuple[int, object]:

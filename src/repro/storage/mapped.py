@@ -102,7 +102,7 @@ class LazyGraph(Graph):
 
     __slots__ = ("_thunk",)
 
-    _DEFERRED = ("_m", "_adj_ids", "_adj_weights", "_unweighted")
+    _DEFERRED = ("_m", "_indptr", "_indices", "_weights", "_unweighted")
 
     def __init__(self, n: int, thunk) -> None:
         # Deliberately skips Graph.__init__: only the node count is
@@ -115,7 +115,7 @@ class LazyGraph(Graph):
         if name in LazyGraph._DEFERRED:
             self._materialize()
             return object.__getattribute__(self, name)
-        raise AttributeError(name)
+        return Graph.__getattr__(self, name)
 
     def _materialize(self) -> None:
         thunk = self._thunk
@@ -127,10 +127,8 @@ class LazyGraph(Graph):
                 f"graph section decodes to {full.n} nodes but its header "
                 f"promised {self._n}"
             )
-        self._m = full._m
-        self._adj_ids = full._adj_ids
-        self._adj_weights = full._adj_weights
-        self._unweighted = full._unweighted
+        for name in LazyGraph._DEFERRED:
+            setattr(self, name, object.__getattribute__(full, name))
         self._thunk = None
 
     @property

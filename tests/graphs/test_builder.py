@@ -96,3 +96,16 @@ class TestBuild:
         b.add_edge(0, 1)
         b.add_edge(0, 1)
         assert b.edge_count == 1
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected(self, weight):
+        b = GraphBuilder(2)
+        with pytest.raises(GraphError, match="non-finite|non-positive"):
+            b.add_edge(0, 1, weight)
+        assert b.edge_count == 0
+
+    def test_nan_names_non_finite(self):
+        with pytest.raises(GraphError, match="non-finite weight nan"):
+            GraphBuilder(2).add_edge(0, 1, float("nan"))

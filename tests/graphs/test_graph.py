@@ -156,3 +156,109 @@ class TestDunder:
         g = Graph.from_edges(3, [(0, 1, 2)])
         assert "weighted" in repr(g)
         assert "n=3" in repr(g)
+
+
+def _csr_of_rows(graph):
+    """``(indptr, indices, weights)`` rebuilt from the tuple view."""
+    indptr = [0]
+    indices = []
+    weights = []
+    for v in graph.nodes():
+        indices.extend(graph.neighbor_ids(v))
+        weights.extend(graph.neighbor_weights(v))
+        indptr.append(len(indices))
+    return indptr, indices, weights
+
+
+def _constructed_graphs(tmp_path):
+    """One graph from every constructor, with weights of every storage kind."""
+    import pickle
+
+    from repro.core.ct_index import CTIndex
+    from repro.graphs.io import read_edge_list, write_edge_list
+    from repro.storage.binary import load_ct_index_binary, save_ct_index_binary
+
+    weighted = Graph.from_edges(5, [(0, 1, 2), (1, 2, 2.5), (2, 3, 4), (3, 4, 1)])
+    graphs = {
+        "init": Graph(3, [[(2, 7), (1, 3)], [(0, 3)], [(0, 7)]], unweighted=False),
+        "from_edges": Graph.from_edges(5, [(0, 4), (4, 2), (2, 1)]),
+        "from_edges_int": Graph.from_edges(4, [(0, 1, 5), (1, 2, 1), (3, 0, 9)]),
+        "from_edges_float": Graph.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)]),
+        "from_edges_unit_float": Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]),
+        "from_edges_mixed": weighted,
+        "from_edges_big_int": Graph.from_edges(3, [(0, 1, 1 << 70), (1, 2, 3)]),
+        "empty": Graph.empty(4),
+        "empty_zero": Graph.empty(0),
+        "trusted_rows": Graph._from_trusted_rows(
+            3, [(1,), (0, 2), (1,)], [(4,), (4, 6), (6,)], unweighted=False
+        ),
+        "csr": Graph._from_csr(3, [0, 1, 3, 4], [1, 0, 2, 1], None, unweighted=True),
+        "unit_weights": weighted.with_unit_weights(),
+        "induced": weighted.induced_subgraph([1, 2, 3])[0],
+        "relabeled": weighted.relabeled([4, 3, 2, 1, 0]),
+        "pickled": pickle.loads(pickle.dumps(weighted)),
+    }
+    for name, source in (("weighted", weighted), ("path", path_graph(6))):
+        path = tmp_path / f"{name}.edges"
+        write_edge_list(source, path)
+        graphs[f"edge_list_{name}"] = read_edge_list(path)[0]
+    index = CTIndex.build(clique_graph(5), 1)
+    snapshot = tmp_path / "clique.bin"
+    save_ct_index_binary(index, snapshot)
+    graphs["snapshot"] = load_ct_index_binary(snapshot).graph
+    return graphs
+
+
+class TestCsrStorage:
+    def test_csr_and_tuple_view_agree(self, tmp_path):
+        import pickle
+
+        for name, graph in _constructed_graphs(tmp_path).items():
+            indptr, indices, weights = _csr_of_rows(graph)
+            assert list(graph.indptr) == indptr, name
+            assert list(graph.indices) == indices, name
+            stored = [1] * len(indices) if graph.weights is None else list(graph.weights)
+            assert stored == weights, name
+            assert [type(w) for w in stored] == [type(w) for w in weights], name
+            # A CSR-only copy (no tuple view yet) splits into the same rows.
+            fresh = pickle.loads(pickle.dumps(graph))
+            assert _csr_of_rows(fresh) == (indptr, indices, weights), name
+            assert fresh == graph and hash(fresh) == hash(graph), name
+            assert graph.m == len(indices) // 2, name
+            assert [graph.degree(v) for v in graph.nodes()] == [
+                len(graph.neighbor_ids(v)) for v in graph.nodes()
+            ], name
+            assert list(fresh.edges()) == [
+                (u, v, w)
+                for u in graph.nodes()
+                for v, w in graph.neighbors(u)
+                if u < v
+            ], name
+
+    def test_weight_storage_kinds(self):
+        from array import array
+
+        assert Graph.from_edges(3, [(0, 1), (1, 2)]).weights is None
+        ints = Graph.from_edges(3, [(0, 1, 2), (1, 2, 3)]).weights
+        assert isinstance(ints, array) and ints.typecode == "q"
+        floats = Graph.from_edges(3, [(0, 1, 0.5), (1, 2, 3.5)]).weights
+        assert isinstance(floats, array) and floats.typecode == "d"
+        mixed = Graph.from_edges(3, [(0, 1, 2), (1, 2, 3.5)]).weights
+        assert mixed == [2, 2, 3.5, 3.5]
+
+    def test_equality_compares_weight_values(self):
+        unit = Graph.from_edges(3, [(0, 1), (1, 2)])
+        unit_float = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        heavier = Graph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        assert unit == unit_float  # 1 == 1.0, as the tuple rows compare
+        assert unit != heavier
+
+    def test_numpy_views_are_zero_copy(self):
+        np = pytest.importorskip("numpy")
+        from repro.kernels.graph_arrays import csr_views
+
+        graph = path_graph(4)
+        indptr, indices = csr_views(graph)
+        assert indptr.tolist() == list(graph.indptr)
+        assert indices.tolist() == list(graph.indices)
+        assert np.shares_memory(indices, np.frombuffer(graph.indices, dtype=np.int64))
