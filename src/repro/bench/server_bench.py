@@ -20,8 +20,8 @@ Measurement discipline matches the other BENCH artifacts:
   server-side batching shape) append to ``BENCH_serve.json``.
 
 Latency is measured client-side (request write to response parse), so
-the recorded percentiles include the batching window — the latency a
-network caller actually observes.
+the recorded percentiles include any wait for the engine — the latency
+a network caller actually observes.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ DEFAULT_REQUEST_COUNT = 2000
 
 #: Concurrent keep-alive client connections.
 DEFAULT_CONCURRENCY = 8
-
-#: Micro-batch window the benched server runs with (milliseconds).
-DEFAULT_BATCH_WINDOW_MS = 1.0
 
 
 @dataclasses.dataclass
@@ -159,7 +156,7 @@ def server_bench_result(
     name: str = "graph",
     requests: int = DEFAULT_REQUEST_COUNT,
     concurrency: int = DEFAULT_CONCURRENCY,
-    batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+    batch_window_ms: float = ServerConfig.batch_window_ms,
     kernel: str | None = None,
     audit_dir=None,
 ) -> ServerBenchResult:
@@ -299,7 +296,6 @@ def run_server_bench(
 __all__ = [
     "BENCH_SERVE_PATH",
     "BENCH_SERVE_SCHEMA",
-    "DEFAULT_BATCH_WINDOW_MS",
     "DEFAULT_CONCURRENCY",
     "DEFAULT_REQUEST_COUNT",
     "ServerBenchResult",

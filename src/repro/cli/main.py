@@ -66,6 +66,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+_BATCH_WINDOW_HELP = (
+    "opt-in hold (ms) before a short micro-batch leaves; the default, 0, "
+    "dispatches each micro-batch as soon as the engine is idle"
+)
+
+
+def _batch_window(args: argparse.Namespace) -> dict:
+    """``--batch-window-ms`` when given, else ``ServerConfig``'s default."""
+    if args.batch_window_ms is None:
+        return {}
+    return {"batch_window_ms": args.batch_window_ms}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -198,14 +211,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--batch-window-ms",
         type=float,
-        default=2.0,
-        help="micro-batch time window from the first queued request (default 2)",
+        default=None,
+        help=_BATCH_WINDOW_HELP,
     )
     p_srv.add_argument(
         "--batch-max",
         type=int,
         default=64,
-        help="flush a micro-batch early at this many requests (default 64)",
+        help="most pairs one micro-batch carries (default 64)",
     )
     p_srv.add_argument(
         "--queue-depth",
@@ -314,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_svbench.add_argument(
         "--batch-window-ms",
         type=float,
-        default=1.0,
-        help="micro-batch window of the benched server (default 1)",
+        default=None,
+        help=_BATCH_WINDOW_HELP,
     )
     p_svbench.add_argument(
         "--kernel",
@@ -784,7 +797,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
+        **_batch_window(args),
         batch_max_size=args.batch_max,
         max_queue_depth=args.queue_depth,
         drain_timeout_s=args.drain_timeout,
@@ -891,7 +904,7 @@ def _cmd_server_bench(args: argparse.Namespace) -> int:
         name=name,
         requests=args.requests,
         concurrency=args.concurrency,
-        batch_window_ms=args.batch_window_ms,
+        **_batch_window(args),
         kernel=args.kernel,
         audit_dir=args.audit_dir,
     )

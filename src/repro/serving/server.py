@@ -33,12 +33,16 @@ that zero wrong or dropped answers are observable across a swap.
 The pieces, and the contracts the tests pin down:
 
 **Micro-batching** (:class:`_MicroBatcher`).  A single-pair request
-parks a future in a bounded queue.  A collector task flushes the queue
-into one ``query_batch`` call when either ``batch_max_size`` requests
-are waiting or ``batch_window_ms`` has elapsed since the first —
-whichever comes first.  Batches execute on a dedicated single worker
-thread, so the event loop keeps accepting traffic while the engine
-(GIL-bound or fleet-IPC-bound) works, and engine calls never
+parks a future in a bounded queue.  A collector task sends the queue,
+up to ``batch_max_size`` pairs, as one ``query_batch`` call the moment
+the engine is idle, and awaits that call before sending the next: pairs
+that arrive while a call runs wait in the queue and leave together in
+the next call.  An idle server therefore answers a lone request without
+any wait, and a busy one batches exactly as much as the load brings.
+A positive ``batch_window_ms`` is an opt-in hold before a short batch
+leaves.  Engine calls run on a dedicated single worker thread, so the
+event loop keeps answering ``/healthz`` and refusing excess load while
+the engine (GIL-bound or fleet-IPC-bound) works, and engine calls never
 interleave.
 
 **Backpressure.**  Admission control is a hard bound on *pending*
@@ -70,6 +74,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import time
 import uuid
 from collections import Counter, deque
@@ -130,36 +135,47 @@ class ServerConfig:
     """Knobs of one :class:`DistanceServer`.
 
     ``port=0`` binds an ephemeral port (the bound port is available as
-    ``server.port`` after ``start()``).  ``batch_window_ms`` is the
-    micro-batch time window measured from the first queued request;
-    ``batch_max_size`` flushes a batch early when enough requests are
-    waiting.  ``max_queue_depth`` bounds *pending* queries (queued +
-    executing) — the backpressure threshold.  ``audit_dir`` is where
-    ``artifact.json`` / ``eval_history.jsonl`` land on shutdown
-    (``None`` disables the audit record).
+    ``server.port`` after ``start()``).  A micro-batch of at most
+    ``batch_max_size`` pairs leaves as soon as the engine is idle;
+    ``batch_window_ms=0`` (the default) adds no wait, while a positive
+    value is an opt-in hold before a short batch leaves (``close()``
+    cuts a running hold short).  ``max_queue_depth`` bounds *pending*
+    queries (queued + executing) — the backpressure threshold.
+    ``drain_timeout_s`` bounds how long ``close()`` waits for admitted
+    work.  ``audit_dir`` is where ``artifact.json`` /
+    ``eval_history.jsonl`` land on shutdown (``None`` disables the audit
+    record).  A value the server cannot honour raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_ms: float = 2.0
+    batch_window_ms: float = 0.0
     batch_max_size: int = 64
     max_queue_depth: int = 1024
     drain_timeout_s: float = 10.0
     audit_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_max_size < 1:
-            raise ConfigurationError(
-                f"batch_max_size must be >= 1, got {self.batch_max_size}"
-            )
-        if self.max_queue_depth < 1:
-            raise ConfigurationError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
+        for name in ("batch_max_size", "max_queue_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+        # Infinity would hold a batch, or a drain, forever, and the
+        # audit record (strict JSON) cannot encode it; NaN fails every
+        # comparison.  Both are refused with the negatives.
+        for name in ("batch_window_ms", "drain_timeout_s"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 <= value < math.inf
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
 
     def as_dict(self) -> dict:
         """Audit-record view of the resolved configuration."""
@@ -201,7 +217,7 @@ class _HttpRequest:
 
 
 class _MicroBatcher:
-    """Time/size-window aggregation of single-pair requests.
+    """Idle-engine aggregation of single-pair requests.
 
     Each submitted pair gets a future that resolves to ``("ok",
     value)`` or ``("error", detail)`` — batch failures are delivered as
@@ -213,9 +229,8 @@ class _MicroBatcher:
         self._server = server
         self._queue: deque = deque()
         self._wake = asyncio.Event()
-        self._inflight: set[asyncio.Task] = set()
+        self._stop = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._stopping = False
         #: Queued + executing queries (the backpressure quantity, also
         #: counting direct batch/one-to-many admissions).
         self.pending = 0
@@ -248,22 +263,26 @@ class _MicroBatcher:
         max_size = self._server.config.batch_max_size
         while True:
             if not self._queue:
-                if self._stopping:
+                if self._stop.is_set():
                     break
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            # Let a batch accumulate: flush early when full, on the
-            # window otherwise.  A draining server flushes immediately.
-            if window > 0 and len(self._queue) < max_size and not self._stopping:
-                await asyncio.sleep(window)
+            # No micro-batch is in flight here.  An opt-in window holds
+            # a short batch first; a draining server skips or cuts it.
+            short = len(self._queue) < max_size
+            if window > 0 and short and not self._stop.is_set():
+                try:
+                    await asyncio.wait_for(self._stop.wait(), window)
+                except asyncio.TimeoutError:
+                    pass
             batch = [
                 self._queue.popleft()
                 for _ in range(min(len(self._queue), max_size))
             ]
-            task = asyncio.get_running_loop().create_task(self._execute(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            # One batch in flight at a time: what arrives meanwhile
+            # queues up and leaves together in the next call.
+            await self._execute(batch)
 
     async def _execute(self, batch: list) -> None:
         server = self._server
@@ -289,13 +308,11 @@ class _MicroBatcher:
             self.release(len(batch))
 
     async def drain(self) -> None:
-        """Flush the queue and wait for every in-flight batch."""
-        self._stopping = True
+        """Flush the queue, including the batch in flight."""
+        self._stop.set()
         self._wake.set()
         if self._task is not None:
             await self._task
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
 
 
 class DistanceServer:
@@ -368,6 +385,11 @@ class DistanceServer:
         self.batched_queries = 0
         self.max_batch_size = 0
         self.batch_failures = 0
+        #: Every engine call (micro-batches, direct batches, mutations)
+        #: and the seconds the worker thread spent inside them; only
+        #: that one thread writes them.
+        self.engine_calls = 0
+        self.engine_busy_s = 0.0
 
         self._latency: dict[str, LatencyHistogram] = {}
         self._batches_counter = self.metrics_registry.counter(
@@ -503,7 +525,16 @@ class DistanceServer:
     async def _run_in_engine(self, fn, *args):
         """Run one engine call on the dedicated worker thread."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
+        return await loop.run_in_executor(self._executor, self._timed, fn, args)
+
+    def _timed(self, fn, args):
+        """Worker-thread side of :meth:`_run_in_engine`: count and time."""
+        started = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.engine_busy_s += time.perf_counter() - started
+            self.engine_calls += 1
 
     def _check_vertex(self, value, name: str):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -961,6 +992,10 @@ class DistanceServer:
             "batches": self.batches,
             "batched_queries": self.batched_queries,
             "batch_failures": self.batch_failures,
+            "mean_batch_size": self._mean_batch_size(),
+            "max_batch_size": self.max_batch_size,
+            "engine_calls": self.engine_calls,
+            "engine_busy_s": round(self.engine_busy_s, 6),
             "latency": {
                 endpoint: histogram.snapshot()
                 for endpoint, histogram in self._latency.items()
@@ -975,6 +1010,11 @@ class DistanceServer:
         if callable(engine_stats):
             snapshot["engine"] = engine_stats()
         return snapshot
+
+    def _mean_batch_size(self) -> float:
+        if not self.batches:
+            return 0.0
+        return round(self.batched_queries / self.batches, 3)
 
     def _query_latency(self) -> LatencyHistogram:
         """All query endpoints' latency folded into one histogram."""
@@ -1016,11 +1056,7 @@ class DistanceServer:
                     "batch_failures": self.batch_failures,
                 },
                 "batching": {
-                    "mean_batch_size": round(
-                        self.batched_queries / self.batches, 3
-                    )
-                    if self.batches
-                    else 0.0,
+                    "mean_batch_size": self._mean_batch_size(),
                     "max_batch_size": self.max_batch_size,
                 },
                 "latency": {

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli.main import main
 from repro.graphs.generators.random_graphs import gnp_graph
 from repro.graphs.io import write_edge_list
+from repro.serving import ServerConfig
 
 
 @pytest.fixture
@@ -358,3 +361,16 @@ class TestParallelBuild:
     def test_build_bench_bad_workers(self, edge_file, capsys):
         assert main(["build-bench", str(edge_file), "--workers", "1,x"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestServerBenchWindow:
+    def test_default_window_follows_server_config(self, edge_file, tmp_path, capsys):
+        out = tmp_path / "BENCH_serve.json"
+        argv = ["server-bench", str(edge_file), "-d", "3", "--requests", "40",
+                "--concurrency", "2", "-o", str(out)]
+        assert main(argv) == 0
+        assert main([*argv, "--batch-window-ms", "0.5"]) == 0
+        default, held = json.loads(out.read_text())["entries"]
+        assert default["batch_window_ms"] == ServerConfig().batch_window_ms
+        assert held["batch_window_ms"] == 0.5
+        assert default["answers_verified"] and held["answers_verified"]

@@ -8,6 +8,9 @@ so its key structure is a compatibility contract.
 
 from __future__ import annotations
 
+import asyncio
+import math
+
 import pytest
 
 from repro.core.ct_index import CTIndex
@@ -16,6 +19,7 @@ from repro.graphs.generators.core_periphery import (
     core_periphery_graph,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.serving import DistanceServer, ServeClient, ServerConfig
 from repro.serving.engine import (
     CASE_LATENCY_METRIC,
     REQUEST_LATENCY_METRIC,
@@ -113,3 +117,38 @@ class TestSnapshotSchema:
 
         assert LatencyHistogram is obs_metrics.LatencyHistogram
         assert BUCKET_EDGES is obs_metrics.BUCKET_EDGES
+
+
+class TestServerStats:
+    """``DistanceServer.stats_snapshot()`` / ``GET /stats`` batching fields."""
+
+    def test_batching_and_engine_fields_over_the_wire(self, index):
+        async def main():
+            server = DistanceServer(
+                QueryEngine(index),
+                n=index.graph.n,
+                config=ServerConfig(port=0),
+                registry=MetricsRegistry(),
+            )
+            async with server:
+                host, port = server.address
+                async with ServeClient(host, port) as client:
+                    before = await client.stats()
+                    await client.query(0, 50)
+                    await client.query_batch([(1, 2), (3, 4)])
+                    after = await client.stats()
+            return before, after
+
+        before, after = asyncio.run(main())
+        for key in ("engine_calls", "engine_busy_s", "mean_batch_size", "max_batch_size"):
+            assert key in before and key in after
+        assert before["engine_calls"] == 0
+        assert before["engine_busy_s"] == 0.0
+        assert before["mean_batch_size"] == 0.0
+        assert before["max_batch_size"] == 0
+        # One micro-batch of one pair, plus one direct batch call.
+        assert after["batches"] == 1
+        assert after["engine_calls"] == 2
+        assert after["mean_batch_size"] == 1.0
+        assert after["max_batch_size"] == 1
+        assert 0.0 < after["engine_busy_s"] < math.inf
