@@ -129,29 +129,34 @@ def compute_tree_labels(
             )
         return labels[pos_target][node_j]
 
+    offsets = elimination.offsets
+    bag_neighbors = elimination.neighbors
+    bag_local = elimination.local
     for pos in positions:
-        step = elimination.steps[pos]
+        lo, hi = offsets[pos], offsets[pos + 1]
+        neighbors = bag_neighbors[lo:hi]
+        local = bag_local[lo:hi]
         root = decomposition.root[pos]
         interface = decomposition.interface[root]
-        label: dict[int, Weight] = {}
 
         if decomposition.parent[pos] is None:
             # Root bag: every neighbor is an interface (core) node and the
             # recorded wedge weight is already the λ-local distance
             # (Lemma 14 / line 25).
-            label.update(step.local_distance)
+            label: dict[int, Weight] = dict(zip(neighbors, local))
         else:
+            label = {}
             tree_neighbors = [
-                (u, position[u]) for u in step.neighbors if position[u] is not None
+                (u, position[u], du)
+                for u, du in zip(neighbors, local)
+                if position[u] is not None
             ]
             # Line 29-30: targets that are direct neighbors.
-            for u in step.neighbors:
-                best = step.local_distance[u]
-                for v_j, pos_j in tree_neighbors:
+            for u, best in zip(neighbors, local):
+                for v_j, pos_j, d_j in tree_neighbors:
                     if v_j == u:
                         continue
-                    assert pos_j is not None
-                    through = step.local_distance[v_j] + lookup(pos_j, u)
+                    through = d_j + lookup(pos_j, u)
                     if through < best:
                         best = through
                 label[u] = best
@@ -159,10 +164,9 @@ def compute_tree_labels(
             # rest of the interface).
             chain_targets = [node_at(p) for p in decomposition.ancestors_of(pos)]
             for u in _iter_missing(chain_targets, interface, label):
-                best: Weight = INF
-                for v_j, pos_j in tree_neighbors:
-                    assert pos_j is not None
-                    through = step.local_distance[v_j] + lookup(pos_j, u)
+                best = INF
+                for v_j, pos_j, d_j in tree_neighbors:
+                    through = d_j + lookup(pos_j, u)
                     if through < best:
                         best = through
                 label[u] = best

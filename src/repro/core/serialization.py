@@ -41,7 +41,7 @@ from repro.labeling.hub_labels import HubLabeling
 from repro.labeling.pll import PrunedLandmarkLabeling
 from repro.core.construction import TreeIndex
 from repro.core.ct_index import CTIndex
-from repro.treedec.elimination import EliminationResult, EliminationStep
+from repro.treedec.elimination import EliminationResult, rows_to_csr
 from repro.storage.binary import (  # noqa: F401  (re-exported: one import site for persistence)
     BINARY_FORMAT_VERSION,
     is_binary_snapshot,
@@ -262,44 +262,52 @@ def _decode_reduction(payload: dict, original: Graph) -> EquivalenceReduction:
 
 
 def _encode_elimination(elimination: EliminationResult) -> dict:
+    steps = []
+    for pos, node in enumerate(elimination.order):
+        neighbors, local = elimination.bag(pos)
+        steps.append(
+            {
+                "node": node,
+                "neighbors": list(neighbors),
+                "local_distance": {
+                    str(u): _encode_weight(w) for u, w in zip(neighbors, local)
+                },
+            }
+        )
     return {
         "bandwidth": elimination.bandwidth,
-        "steps": [
-            {
-                "node": step.node,
-                "neighbors": list(step.neighbors),
-                "local_distance": _encode_weight_map(step.local_distance),
-            }
-            for step in elimination.steps
-        ],
-        "core_nodes": elimination.core_nodes,
+        "steps": steps,
+        "core_nodes": list(elimination.core_nodes),
         "core_adjacency": {
-            str(v): _encode_weight_map(row) for v, row in elimination.core_adjacency.items()
+            str(v): {str(u): _encode_weight(w) for u, w in zip(targets, weights)}
+            for v, targets, weights in elimination.core_rows()
         },
     }
 
 
+def _bag_row(raw: dict) -> dict:
+    distances = _decode_weight_map(raw["local_distance"])
+    return {int(u): distances[int(u)] for u in raw["neighbors"]}
+
+
 def _decode_elimination(payload: dict, graph: Graph) -> EliminationResult:
-    steps = [
-        EliminationStep(
-            node=int(raw["node"]),
-            neighbors=tuple(int(u) for u in raw["neighbors"]),
-            local_distance=_decode_weight_map(raw["local_distance"]),
-        )
-        for raw in payload["steps"]
-    ]
-    position: list[int | None] = [None] * graph.n
-    for i, step in enumerate(steps):
-        position[step.node] = i
-    return EliminationResult(
-        graph=graph,
-        steps=steps,
-        position=position,
-        core_nodes=[int(v) for v in payload["core_nodes"]],
-        core_adjacency={
-            int(v): _decode_weight_map(row) for v, row in payload["core_adjacency"].items()
-        },
-        bandwidth=payload["bandwidth"],
+    steps = payload["steps"]
+    order = [int(raw["node"]) for raw in steps]
+    counts, neighbors, local = rows_to_csr(map(_bag_row, steps))
+    core_nodes = [int(v) for v in payload["core_nodes"]]
+    rows = {int(v): _decode_weight_map(row) for v, row in payload["core_adjacency"].items()}
+    core_counts, core_targets, core_weights = rows_to_csr(rows[v] for v in core_nodes)
+    return EliminationResult.from_arrays(
+        graph,
+        payload["bandwidth"],
+        order=order,
+        counts=counts,
+        neighbors=neighbors,
+        local=local,
+        core_nodes=core_nodes,
+        core_counts=core_counts,
+        core_targets=core_targets,
+        core_weights=core_weights,
     )
 
 

@@ -84,11 +84,8 @@ class CTKernelState:
         self._tree_targets = tree.targets
         self._tree_dists = tree.dists_inf
         decomposition = index.decomposition
-        self._node_at = np.fromiter(
-            (decomposition.node_at(pos) for pos in range(len(tree.offsets) - 1)),
-            dtype=np.int64,
-            count=len(tree.offsets) - 1,
-        )
+        order = decomposition.elimination.order
+        self._node_at = np.asarray(getattr(order, "raw", order), dtype=np.int64)
         # Plain-python copies of the tree CSR arrays for the scalar
         # member loops: bisect over a list compares unboxed ints, which
         # beats both numpy-scalar indexing and the ``array.array``

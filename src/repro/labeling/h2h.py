@@ -111,15 +111,14 @@ def build_h2h(graph: Graph, *, budget: MemoryBudget | None = None) -> H2HIndex:
     # their descendants.
     order = decomposition.order
     for pos in range(n - 1, -1, -1):
-        step = elimination.steps[pos]
+        neighbors, local = elimination.bag(pos)
         ancestors = decomposition.ancestors(pos)  # bag indexes, nearest first
         targets = [order[a] for a in ancestors]
         array = distance_arrays[pos]
         for x in targets:
             pos_x = position[x]
             best: Weight = INF
-            for u in step.neighbors:
-                du = step.local_distance[u]
+            for u, du in zip(neighbors, local):
                 total = du + chain_lookup(position[u], u, pos_x, x)
                 if total < best:
                     best = total

@@ -23,14 +23,13 @@ blocks for every large input, so ``workers=N`` finally composes with
   byte-identical to the serial path for every worker count by
   construction.
 
-* **Forest fan-out** — the decomposition is packed once into flat
-  shared arrays (per-position parents/roots, step CSR with wedge
-  weights, per-root interfaces) instead of pickling the decomposition
-  object into each worker; workers rebuild a lightweight read-only view
-  satisfying exactly the attributes
-  :func:`repro.core.construction.compute_tree_labels` reads and run
-  that same routine, keeping the LPT task balancing of
-  :func:`repro.parallel.forest.forest_tasks`.
+* **Forest fan-out** — the decomposition's bag arrays (elimination
+  order, bag CSR with wedge weights, node positions) go into shared
+  blocks once instead of pickling the decomposition object into each
+  worker; workers rebuild the decomposition from them with the same
+  derivation the parent ran and call the same
+  :func:`repro.core.construction.compute_tree_labels`, keeping the LPT
+  task balancing of :func:`repro.parallel.forest.forest_tasks`.
 
 Shared blocks are named ``repro_shm_<pid>_<seq>`` and always unlinked by
 the creating parent (``try/finally``), so a build — successful, failed,
@@ -272,104 +271,37 @@ def _psl_round_task(atts: WorkerAttachments, state: dict, payload: dict) -> dict
     }
 
 
-class _ForestStep:
-    """The slice of an elimination step ``compute_tree_labels`` reads."""
+def _forest_view(atts: WorkerAttachments, state: dict, payload: dict):
+    """Rebuild (or reuse) this build's decomposition from the shared bags.
 
-    __slots__ = ("node", "neighbors", "local_distance")
-
-    def __init__(self, node, neighbors, local_distance) -> None:
-        self.node = node
-        self.neighbors = neighbors
-        self.local_distance = local_distance
-
-
-class _LazySteps:
-    """Per-position step views over the packed CSR, built on first use."""
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view: "_ForestView") -> None:
-        self._view = view
-
-    def __getitem__(self, pos: int) -> _ForestStep:
-        v = self._view
-        lo, hi = v.step_indptr[pos], v.step_indptr[pos + 1]
-        neighbors = tuple(v.step_nbr[lo:hi])
-        local = dict(zip(neighbors, v.step_w[lo:hi]))
-        return _ForestStep(v.pos_node[pos], neighbors, local)
-
-
-class _ForestView:
-    """Read-only decomposition stand-in rebuilt from shared arrays.
-
-    Exposes exactly the attribute surface
-    :func:`repro.core.construction.compute_tree_labels` consumes —
-    ``elimination.steps[pos]``, ``position``, ``node_at``, ``root``,
-    ``interface``, ``parent``, ``ancestors_of`` — so workers run the
-    *same routine* the serial sweep runs, on the same values, which is
-    what keeps the forest half byte-identical.
+    The worker adopts the parent's bag arrays and derives parents,
+    roots and interfaces with the same
+    :meth:`~repro.treedec.core_tree.CoreTreeDecomposition.from_elimination`
+    the parent ran, so :func:`repro.core.construction.compute_tree_labels`
+    runs on the same values as the serial sweep — which keeps the forest
+    half byte-identical.  The worker's elimination carries the bags
+    only: no graph and no core rows, which forest labels never read.
     """
+    from repro.treedec.core_tree import CoreTreeDecomposition
+    from repro.treedec.elimination import EliminationResult
 
-    def __init__(
-        self,
-        pos_node: list[int],
-        parent: list[int | None],
-        root: list[int],
-        position: list[int | None],
-        step_indptr: list[int],
-        step_nbr: list[int],
-        step_w: list,
-        interface: dict[int, tuple[int, ...]],
-    ) -> None:
-        self.pos_node = pos_node
-        self.parent = parent
-        self.root = root
-        self.position = position
-        self.step_indptr = step_indptr
-        self.step_nbr = step_nbr
-        self.step_w = step_w
-        self.interface = interface
-        self.elimination = self
-        self.steps = _LazySteps(self)
-
-    def node_at(self, pos: int) -> int:
-        return self.pos_node[pos]
-
-    def ancestors_of(self, pos: int) -> list[int]:
-        chain: list[int] = []
-        p = self.parent[pos]
-        while p is not None:
-            chain.append(p)
-            p = self.parent[p]
-        return chain
-
-
-def _forest_view(atts: WorkerAttachments, state: dict, payload: dict) -> _ForestView:
-    """Rebuild (or reuse) the decomposition view for this build."""
     if state.get("forest_build") == payload["build_id"]:
         return state["forest_view"]
-    slots = payload["slots"]
-    views = {slot: atts.view(spec) for slot, spec in slots.items()}
-    pos_parent = views["pos_parent"].tolist()
-    parent = [p if p >= 0 else None for p in pos_parent]
-    position = [p if p >= 0 else None for p in views["position"].tolist()]
-    iface_roots = views["iface_roots"].tolist()
-    iface_indptr = views["iface_indptr"].tolist()
-    iface_nodes = views["iface_nodes"].tolist()
-    interface = {
-        r: tuple(iface_nodes[iface_indptr[i] : iface_indptr[i + 1]])
-        for i, r in enumerate(iface_roots)
-    }
-    view = _ForestView(
-        pos_node=views["pos_node"].tolist(),
-        parent=parent,
-        root=views["pos_root"].tolist(),
-        position=position,
-        step_indptr=views["step_indptr"].tolist(),
-        step_nbr=views["step_nbr"].tolist(),
-        step_w=views["step_w"].tolist(),
-        interface=interface,
+    arrays = {slot: atts.view(spec).tolist() for slot, spec in payload["slots"].items()}
+    elimination = EliminationResult(
+        graph=None,
+        order=arrays["order"],
+        offsets=arrays["offsets"],
+        neighbors=arrays["neighbors"],
+        local=arrays["local"],
+        position=[p if p >= 0 else None for p in arrays["position"]],
+        core_nodes=[],
+        core_counts=[],
+        core_targets=[],
+        core_weights=[],
+        bandwidth=None,
     )
+    view = CoreTreeDecomposition.from_elimination(elimination)
     state["forest_build"] = payload["build_id"]
     state["forest_view"] = view
     return view
@@ -707,64 +639,24 @@ def run_shm_rounds(
 
 
 def _pack_forest(decomposition) -> dict[str, np.ndarray]:
-    """Flatten the decomposition into the arrays ``_ForestView`` rebuilds.
+    """The decomposition's bag arrays, as the shared blocks workers adopt.
 
     Integer wedge weights stay ``int64`` so workers recover exact Python
     ints; any fractional weight switches the weight array to ``float64``
     (where the serial labels are floats too).
     """
-    boundary = decomposition.boundary
     elimination = decomposition.elimination
-    pos_node = np.fromiter(
-        (elimination.steps[pos].node for pos in range(boundary)),
-        dtype=np.int64,
-        count=boundary,
-    )
-    pos_parent = np.fromiter(
-        (
-            p if p is not None else -1
-            for p in (decomposition.parent[pos] for pos in range(boundary))
-        ),
-        dtype=np.int64,
-        count=boundary,
-    )
-    pos_root = np.asarray(decomposition.root[:boundary], dtype=np.int64)
-    position = np.fromiter(
-        (p if p is not None else -1 for p in decomposition.position),
-        dtype=np.int64,
-        count=len(decomposition.position),
-    )
-
-    step_indptr = np.zeros(boundary + 1, dtype=np.int64)
-    neighbors: list[int] = []
-    weights: list = []
-    for pos in range(boundary):
-        step = elimination.steps[pos]
-        for u in step.neighbors:
-            neighbors.append(u)
-            weights.append(step.local_distance[u])
-        step_indptr[pos + 1] = len(neighbors)
-    all_int = all(isinstance(w, int) for w in weights)
-    step_w = np.asarray(weights, dtype=np.int64 if all_int else np.float64)
-
-    iface_roots = sorted(decomposition.interface)
-    iface_indptr = np.zeros(len(iface_roots) + 1, dtype=np.int64)
-    iface_nodes: list[int] = []
-    for i, r in enumerate(iface_roots):
-        iface_nodes.extend(decomposition.interface[r])
-        iface_indptr[i + 1] = len(iface_nodes)
-
+    local = np.asarray(elimination.local)
+    if local.dtype.kind not in "iu":
+        local = local.astype(np.float64)
     return {
-        "pos_node": pos_node,
-        "pos_parent": pos_parent,
-        "pos_root": pos_root,
-        "position": position,
-        "step_indptr": step_indptr,
-        "step_nbr": np.asarray(neighbors, dtype=np.int64),
-        "step_w": step_w,
-        "iface_roots": np.asarray(iface_roots, dtype=np.int64),
-        "iface_indptr": iface_indptr,
-        "iface_nodes": np.asarray(iface_nodes, dtype=np.int64),
+        "order": np.asarray(elimination.order, dtype=np.int64),
+        "offsets": np.asarray(elimination.offsets, dtype=np.int64),
+        "neighbors": np.asarray(elimination.neighbors, dtype=np.int64),
+        "local": local,
+        "position": np.asarray(
+            [-1 if p is None else p for p in elimination.position], dtype=np.int64
+        ),
     }
 
 

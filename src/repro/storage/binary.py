@@ -35,9 +35,10 @@ mutable dict layout.
 
 ``mmap=True`` goes one step further: the file is memory-mapped
 read-only, every section's CRC is verified once against the mapped
-pages, and the big CSR label sections (``treelabels``, ``core``) are
-adopted as :class:`~repro.storage.mapped.MappedArray` views instead of
-copies — the flat stores then read, and
+pages, and the big CSR sections (``treelabels``, ``core``, and the
+``elim`` bag arrays) are adopted as
+:class:`~repro.storage.mapped.MappedArray` views instead of copies —
+the decomposition and the flat stores then read, and
 :func:`repro.kernels.views.as_ndarray` wraps, the file's own pages.
 N processes mapping one snapshot share a single resident copy through
 the page cache (the ``repro.serving.fleet`` deployment shape).  See
@@ -56,7 +57,7 @@ from array import array
 from pathlib import Path
 from typing import Union
 
-from repro.exceptions import ReproError, SerializationError
+from repro.exceptions import DecompositionError, ReproError, SerializationError
 from repro.graphs.graph import INF, Graph, Weight, int64_array, pack_weights
 from repro.obs.tracing import span as obs_span, tracing_enabled
 from repro.graphs.reductions import EquivalenceReduction
@@ -265,16 +266,25 @@ def _weights_to_array(values: list[Weight]) -> array:
 
 def _weights_from_array(packed: array) -> list[Weight]:
     """Invert :func:`_weights_to_array`; reject sub-sentinel garbage."""
+    return list(_adopt_weights(packed))
+
+
+def _adopt_weights(packed):
+    """:func:`_weights_from_array` that keeps ``packed`` when it decodes as-is.
+
+    Integer arrays without ``INF`` entries (and float arrays) already
+    hold the weights; only an array with ``-1`` sentinels is decoded.
+    """
     if packed.typecode in _SIGNED_INT_CODES:
         lowest = min(packed, default=0)
         if lowest >= 0:  # common case: no INF entries, no decode loop
-            return list(packed)
+            return packed
         if lowest < INF_SENTINEL:
             raise SerializationError(
                 f"negative distance {lowest} in integer weight array"
             )
         return [INF if value == INF_SENTINEL else value for value in packed]
-    return list(packed)
+    return packed
 
 
 # ----------------------------------------------------------------------
@@ -526,33 +536,14 @@ def save_ct_index_binary(index, path: PathLike) -> None:
 
     elimination = index.decomposition.elimination
     buf = bytearray()
-    nodes: list[int] = []
-    counts: list[int] = []
-    flat_neighbors: list[int] = []
-    flat_dists: list[Weight] = []
-    for step in elimination.steps:
-        nodes.append(step.node)
-        counts.append(len(step.neighbors))
-        flat_neighbors.extend(step.neighbors)
-        flat_dists.extend(step.local_distance[u] for u in step.neighbors)
-    _put_narrow(buf, array("q", nodes))
-    _put_narrow(buf, array("q", counts))
-    _put_narrow(buf, array("q", flat_neighbors))
-    _put_narrow(buf, _weights_to_array(flat_dists))
-    core_nodes = elimination.core_nodes
-    core_counts: list[int] = []
-    core_targets: list[int] = []
-    core_weights: list[Weight] = []
-    for v in core_nodes:
-        row = elimination.core_adjacency[v]
-        core_counts.append(len(row))
-        for u in sorted(row):
-            core_targets.append(u)
-            core_weights.append(row[u])
-    _put_narrow(buf, array("q", core_nodes))
-    _put_narrow(buf, array("q", core_counts))
-    _put_narrow(buf, array("q", core_targets))
-    _put_narrow(buf, _weights_to_array(core_weights))
+    _put_narrow(buf, array("q", elimination.order))
+    _put_narrow(buf, array("q", elimination.bag_sizes()))
+    _put_narrow(buf, array("q", elimination.neighbors))
+    _put_narrow(buf, _weights_to_array(elimination.local))
+    _put_narrow(buf, array("q", elimination.core_nodes))
+    _put_narrow(buf, array("q", elimination.core_counts))
+    _put_narrow(buf, array("q", elimination.core_targets))
+    _put_narrow(buf, _weights_to_array(elimination.core_weights))
     sections["elim"] = bytes(buf)
 
     tree_store = FlatTreeLabelStore.from_labels(index.tree_index.labels)
@@ -741,8 +732,8 @@ def _decode_snapshot(
     from repro.core.construction import TreeIndex
     from repro.core.ct_index import CTIndex
     from repro.labeling.pll import PrunedLandmarkLabeling
-    from repro.treedec.core_tree import core_tree_decomposition
-    from repro.treedec.elimination import EliminationResult, EliminationStep
+    from repro.treedec.core_tree import CoreTreeDecomposition
+    from repro.treedec.elimination import EliminationResult
 
     # Zero-copy adoption needs the on-disk byte order to be the native
     # one; on big-endian hosts a mapped load still works (the map was
@@ -798,57 +789,35 @@ def _decode_snapshot(
         twin_kind=twin_kind,
     )
 
-    cursor = _Cursor("elim", sections["elim"])
-    nodes = cursor.typed_array(_INT_CODES)
+    # The elim arrays are adopted as they are (views over the map when
+    # zero-copy); only the per-position structure the queries read —
+    # position, parent, root, depth, interfaces — is derived here.
+    cursor = _Cursor("elim", sections["elim"], zero_copy=zero_copy)
+    order = cursor.typed_array(_INT_CODES)
     counts = cursor.typed_array(_INT_CODES)
-    flat_neighbors = cursor.typed_array(_INT_CODES)
-    flat_dists = _weights_from_array(cursor.typed_array(_DIST_CODES))
+    neighbors = cursor.typed_array(_INT_CODES)
+    local = _adopt_weights(cursor.typed_array(_DIST_CODES))
     core_nodes = list(cursor.typed_array(_INT_CODES))
     core_counts = cursor.typed_array(_INT_CODES)
     core_targets = cursor.typed_array(_INT_CODES)
-    core_weights = _weights_from_array(cursor.typed_array(_DIST_CODES))
+    core_weights = _adopt_weights(cursor.typed_array(_DIST_CODES))
     cursor.done()
-    if len(nodes) != len(counts) or sum(counts) != len(flat_neighbors):
-        raise SerializationError(f"ragged elimination arrays in {path}")
-    if len(flat_neighbors) != len(flat_dists):
-        raise SerializationError(f"ragged elimination distance array in {path}")
-    steps = []
-    base = 0
-    for node, count in zip(nodes, counts):
-        neighbors = tuple(flat_neighbors[base : base + count])
-        local = dict(zip(neighbors, flat_dists[base : base + count]))
-        steps.append(
-            EliminationStep(node=node, neighbors=neighbors, local_distance=local)
+    try:
+        elimination = EliminationResult.from_arrays(
+            reduced,
+            bandwidth,
+            order=order,
+            counts=counts,
+            neighbors=neighbors,
+            local=local,
+            core_nodes=core_nodes,
+            core_counts=core_counts,
+            core_targets=core_targets,
+            core_weights=core_weights,
         )
-        base += count
-    position: list[int | None] = [None] * reduced.n
-    for i, step in enumerate(steps):
-        if not 0 <= step.node < reduced.n or position[step.node] is not None:
-            raise SerializationError(
-                f"elimination step {i} names node {step.node} outside the "
-                f"reduced graph (or twice) in {path}"
-            )
-        position[step.node] = i
-    if core_nodes != sorted(set(core_nodes)):
-        raise SerializationError(f"core node list of {path} is not sorted-unique")
-    if len(core_nodes) != len(core_counts) or sum(core_counts) != len(core_targets):
-        raise SerializationError(f"ragged core-adjacency arrays in {path}")
-    core_adjacency: dict[int, dict[int, Weight]] = {}
-    base = 0
-    for v, count in zip(core_nodes, core_counts):
-        core_adjacency[v] = dict(
-            zip(core_targets[base : base + count], core_weights[base : base + count])
-        )
-        base += count
-    elimination = EliminationResult(
-        graph=reduced,
-        steps=steps,
-        position=position,
-        core_nodes=core_nodes,
-        core_adjacency=core_adjacency,
-        bandwidth=bandwidth,
-    )
-    decomposition = core_tree_decomposition(reduced, bandwidth, elimination=elimination)
+        decomposition = CoreTreeDecomposition.from_elimination(elimination)
+    except DecompositionError as exc:
+        raise SerializationError(f"corrupt elim section in {path}: {exc}") from exc
 
     cursor = _Cursor("treelabels", sections["treelabels"], zero_copy=zero_copy)
     tree_offsets = cursor.typed_array(_INT_CODES)

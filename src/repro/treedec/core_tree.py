@@ -3,10 +3,14 @@
 Given a bandwidth ``d``, the MDE prefix (bags of at most ``d + 1``
 nodes) forms a forest ``F`` of small bags, and the residual nodes form the core ``B_c``.
 Per eliminated node this module derives the parent ``f(i)``, the root
-function ``r(i)``, tree depths, the per-tree *interface* (the core
-neighbors ``N_r`` of the root bag — at most ``d`` nodes), and an O(1) LCA
-over the forest.  This is the skeleton both CT-Index and the CD baseline
-hang their labels on.
+function ``r(i)``, tree depths and the per-tree *interface* (the core
+neighbors ``N_r`` of the root bag — at most ``d`` nodes), in one
+descending pass over the elimination's bag arrays.  This is the
+skeleton both CT-Index and the CD baseline hang their labels on.
+
+The LCA of two same-tree bags (query Case 4) walks parent pointers from
+equal depth: at most ``h_F`` steps, and the forests of core-periphery
+graphs are shallow, so no Euler-tour table is built.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.exceptions import DecompositionError
-from repro.graphs.graph import Graph, Weight
+from repro.graphs.graph import Graph
 from repro.treedec.elimination import EliminationResult, minimum_degree_elimination
-from repro.treedec.lca import ForestLCA
 
 
 @dataclasses.dataclass
@@ -49,8 +52,53 @@ class CoreTreeDecomposition:
     depth: list[int]
     interface: dict[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        self._lca = ForestLCA(self.parent)
+    @classmethod
+    def from_elimination(cls, elimination: EliminationResult) -> "CoreTreeDecomposition":
+        """Derive parents, roots, depths and interfaces from the bags.
+
+        A bag's parent ``f(i)`` is the smallest position among its tree
+        (non-core) neighbors.  Parents always have larger positions, so
+        one descending sweep sees every parent before its children and
+        sets ``root``/``depth`` as it goes; a root's interface is its
+        bag's neighbor slice (all core nodes, ascending).
+
+        Raises :class:`~repro.exceptions.DecompositionError` when a bag
+        lists its own node or a node eliminated before it (Lemma 2
+        forbids both), which would close a loop in the parent array.
+        """
+        boundary = elimination.boundary
+        offsets = elimination.offsets
+        neighbors = list(elimination.neighbors)
+        # Core nodes key as ``boundary``: the min over a bag's keys is
+        # then its parent's position, or ``boundary`` for a root.
+        key = [boundary if pos is None else pos for pos in elimination.position]
+        keys = list(map(key.__getitem__, neighbors))
+        parent: list[int | None] = [None] * boundary
+        root = list(range(boundary))
+        depth = [0] * boundary
+        interface: dict[int, tuple[int, ...]] = {}
+        hi = offsets[boundary]
+        for pos in range(boundary - 1, -1, -1):
+            lo = offsets[pos]
+            p = min(keys[lo:hi], default=boundary)
+            if p == boundary:
+                interface[pos] = tuple(neighbors[lo:hi])
+            elif p <= pos:
+                raise DecompositionError(
+                    f"bag {pos} lists a node eliminated at or before it (Lemma 2)"
+                )
+            else:
+                parent[pos] = p
+                root[pos] = root[p]
+                depth[pos] = depth[p] + 1
+            hi = lo
+        return cls(
+            elimination=elimination,
+            parent=parent,
+            root=root,
+            depth=depth,
+            interface=interface,
+        )
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -95,7 +143,7 @@ class CoreTreeDecomposition:
 
     def node_at(self, position: int) -> int:
         """Node id eliminated at ``position``."""
-        return self.elimination.steps[position].node
+        return self.elimination.order[position]
 
     def is_core(self, v: int) -> bool:
         """True when node ``v`` belongs to the core."""
@@ -122,21 +170,36 @@ class CoreTreeDecomposition:
         return chain
 
     def lca(self, pos_u: int, pos_v: int) -> int:
-        """Position of the LCA bag of two same-tree positions."""
-        return self._lca.lca(pos_u, pos_v)
+        """Position of the LCA bag of two same-tree positions.
+
+        Lifts the deeper position to the other's depth, then walks both
+        up in lockstep — at most ``h_F`` parent hops.
+        """
+        if self.root[pos_u] != self.root[pos_v]:
+            raise DecompositionError(
+                f"positions {pos_u} and {pos_v} are in different trees"
+            )
+        parent = self.parent
+        depth_u, depth_v = self.depth[pos_u], self.depth[pos_v]
+        while depth_u > depth_v:
+            pos_u = parent[pos_u]  # type: ignore[assignment]
+            depth_u -= 1
+        while depth_v > depth_u:
+            pos_v = parent[pos_v]  # type: ignore[assignment]
+            depth_v -= 1
+        while pos_u != pos_v:
+            pos_u = parent[pos_u]  # type: ignore[assignment]
+            pos_v = parent[pos_v]  # type: ignore[assignment]
+        return pos_u
 
     def same_tree(self, pos_u: int, pos_v: int) -> bool:
         """True when two positions belong to the same tree of the forest."""
-        return self._lca.same_tree(pos_u, pos_v)
+        return self.root[pos_u] == self.root[pos_v]
 
     def bag_members(self, position: int) -> tuple[int, ...]:
         """Node ids of bag ``B`` at ``position`` (owner + transient neighbors)."""
-        step = self.elimination.steps[position]
-        return tuple(sorted((step.node,) + step.neighbors))
-
-    def local_distance(self, position: int, u: int) -> Weight:
-        """``δ⁻(u)`` recorded when the node at ``position`` was eliminated."""
-        return self.elimination.steps[position].local_distance[u]
+        neighbors, _ = self.elimination.bag(position)
+        return tuple(sorted([self.elimination.order[position], *neighbors]))
 
     def tree_members(self) -> dict[int, list[int]]:
         """Map root position -> positions of its tree members (incl. root)."""
@@ -157,13 +220,14 @@ class CoreTreeDecomposition:
         """Check the structural invariants of Section 4.3."""
         d = self.bandwidth
         position = self.position
-        for pos, step in enumerate(self.elimination.steps):
-            if len(step.neighbors) > d:
+        for pos in range(self.boundary):
+            bag, _ = self.elimination.bag(pos)
+            if len(bag) > d:
                 raise DecompositionError(
-                    f"bag at position {pos} has {len(step.neighbors)} neighbors, "
+                    f"bag at position {pos} has {len(bag)} neighbors, "
                     f"but elimination must stop at bandwidth {d}"
                 )
-            tree_neighbors = [u for u in step.neighbors if position[u] is not None]
+            tree_neighbors = [u for u in bag if position[u] is not None]
             if tree_neighbors:
                 expected_parent = min(position[u] for u in tree_neighbors)  # type: ignore[type-var]
                 if self.parent[pos] != expected_parent:
@@ -208,38 +272,4 @@ def core_tree_decomposition(
             f"but {bandwidth} was requested"
         )
 
-    position = elimination.position
-    boundary = elimination.boundary
-    parent: list[int | None] = [None] * boundary
-    root: list[int] = [0] * boundary
-    depth: list[int] = [0] * boundary
-    interface: dict[int, tuple[int, ...]] = {}
-
-    for pos in range(boundary - 1, -1, -1):
-        step = elimination.steps[pos]
-        tree_positions = [position[u] for u in step.neighbors if position[u] is not None]
-        if tree_positions:
-            parent[pos] = min(tree_positions)  # f(i): earliest-eliminated neighbor
-        else:
-            parent[pos] = None
-
-    # Roots and depths need a top-down sweep; parents always have larger
-    # positions, so descending position order visits parents first.
-    for pos in range(boundary - 1, -1, -1):
-        p = parent[pos]
-        if p is None:
-            root[pos] = pos
-            depth[pos] = 0
-            step = elimination.steps[pos]
-            interface[pos] = tuple(sorted(step.neighbors))
-        else:
-            root[pos] = root[p]
-            depth[pos] = depth[p] + 1
-
-    return CoreTreeDecomposition(
-        elimination=elimination,
-        parent=parent,
-        root=root,
-        depth=depth,
-        interface=interface,
-    )
+    return CoreTreeDecomposition.from_elimination(elimination)

@@ -169,10 +169,11 @@ def decomposition_from_elimination(result: EliminationResult) -> TreeDecompositi
     order = result.eliminated_order()
     bags: list[tuple[int, ...]] = []
     parent: list[int | None] = []
-    for step in result.steps:
-        bags.append(tuple(sorted((step.node,) + step.neighbors)))
-        if step.neighbors:
-            parent.append(min(result.position[u] for u in step.neighbors))
+    for pos, node in enumerate(order):
+        neighbors, _ = result.bag(pos)
+        bags.append(tuple(sorted([node, *neighbors])))
+        if neighbors:
+            parent.append(min(result.position[u] for u in neighbors))  # type: ignore[type-var]
         else:
             parent.append(None)
     return TreeDecomposition(graph=result.graph, bags=bags, order=order, parent=parent)

@@ -1,9 +1,14 @@
 """Constant-time lowest common ancestors over a forest.
 
-CT-Index query Case 4 needs the LCA of two bags in the same tree of the
-forest.  This is the classic Euler-tour + sparse-table reduction to
-range-minimum queries (Harel & Tarjan — cited as [12] in the paper):
-linear-ish preprocessing, O(1) per query.
+The classic Euler-tour + sparse-table reduction to range-minimum
+queries (Harel & Tarjan — cited as [12] in the paper): linear-ish
+preprocessing, O(1) per query.  It serves the H2H baseline
+(:mod:`repro.labeling.h2h`) and the directed CT-Index
+(:mod:`repro.directed.ct`), whose full decompositions can be deep.  The
+undirected CT-Index does not use it: its forests are shallow, so
+:meth:`repro.treedec.core_tree.CoreTreeDecomposition.lca` walks parent
+pointers instead of building a table at every build and load.
+:func:`naive_lca` is the test oracle for both.
 """
 
 from __future__ import annotations
@@ -125,7 +130,8 @@ class ForestLCA:
 def naive_lca(parent: list[int | None], u: int, v: int) -> int | None:
     """Reference LCA by walking parent chains; ``None`` for separate trees.
 
-    Quadratic and only used to cross-check :class:`ForestLCA` in tests.
+    Quadratic and only used to cross-check :class:`ForestLCA` and
+    :meth:`~repro.treedec.core_tree.CoreTreeDecomposition.lca` in tests.
     """
     ancestors: set[int] = set()
     x: int | None = u

@@ -2,9 +2,11 @@
 
 A mapped load must be indistinguishable from a copying load at the
 query level (fingerprint and answer identity under both kernels) while
-actually deferring work: label arrays are views over the mapped file
-and all three serialized graphs stay lazy until something outside the
-query path (e.g. fingerprinting) forces a decode.
+actually deferring work: label arrays are views over the mapped file,
+all three serialized graphs stay lazy until something outside the
+query path (e.g. fingerprinting) forces a decode, and the core-tree
+decomposition is served from the adopted elim arrays without building
+step objects, core-adjacency dicts or an LCA table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from repro.graphs.generators.core_periphery import (
 from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
 from repro.kernels import numpy_available
 from repro.serving import QueryEngine
-from repro.storage.mapped import LazyGraph, MappedSnapshot
+from repro.storage.mapped import LazyGraph, MappedArray, MappedSnapshot
+from repro.treedec.elimination import EliminationStep
+from repro.treedec.lca import ForestLCA
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,59 @@ class TestLaziness:
         # A view over the read-only map cannot own (or copy) its buffer.
         assert not dists.flags["OWNDATA"]
         assert not dists.flags["WRITEABLE"]
+
+
+class TestDecompositionStaysArrays:
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """Names of the decomposition objects built while the test runs."""
+        built: list[str] = []
+        for cls in (EliminationStep, ForestLCA):
+            original = cls.__init__
+
+            def spy(self, *args, _original=original, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        return built
+
+    def test_elim_arrays_are_views_over_the_map(self, saved):
+        _, _, path = saved
+        elimination = load_ct_index_binary(path, mmap=True).decomposition.elimination
+        for name in ("order", "neighbors", "local", "core_counts", "core_targets"):
+            assert isinstance(getattr(elimination, name), MappedArray), name
+
+    @pytest.mark.parametrize(
+        "kernel",
+        ["python"]
+        + (["numpy"] if numpy_available() else []),
+    )
+    def test_queries_build_no_steps_core_dicts_or_lca(self, saved, constructed, kernel):
+        graph, _, path = saved
+        mapped = load_ct_index_binary(path, mmap=True)
+        engine = QueryEngine(mapped, kernel=kernel, cache_capacity=64)
+        rng = random.Random(11)
+        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(300)]
+        engine.query_batch(pairs)
+        for s, t in pairs[:100]:
+            engine.query(s, t)
+        engine.query_from(1, range(graph.n))
+        for case in ("case1", "case2", "case3"):
+            assert mapped.case_counts[case] > 0, case
+        elimination = mapped.decomposition.elimination
+        assert constructed == []
+        assert "steps" not in vars(elimination)
+        assert "core_adjacency" not in vars(elimination)
+
+    def test_views_still_build_on_request(self, saved, constructed):
+        _, index, path = saved
+        elimination = load_ct_index_binary(path, mmap=True).decomposition.elimination
+        built = index.decomposition.elimination
+        assert elimination.steps == built.steps
+        assert elimination.core_adjacency == built.core_adjacency
+        assert constructed.count("EliminationStep") == 2 * elimination.boundary
+        assert "ForestLCA" not in constructed
 
 
 class TestRejections:

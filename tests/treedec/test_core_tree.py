@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DecompositionError
 from repro.graphs.generators.primitives import clique_graph, path_graph
 from repro.graphs.generators.random_graphs import gnp_graph
 from repro.graphs.graph import Graph
-from repro.treedec.core_tree import core_tree_decomposition
-from repro.treedec.elimination import minimum_degree_elimination
+from repro.treedec.core_tree import CoreTreeDecomposition, core_tree_decomposition
+from repro.treedec.elimination import EliminationResult, minimum_degree_elimination
+from repro.treedec.lca import naive_lca
 
 
 class TestPaperExample:
@@ -150,3 +153,99 @@ class TestGeneral:
         ctd = core_tree_decomposition(Graph.empty(0), 5)
         assert ctd.boundary == 0
         assert ctd.roots == []
+
+
+@st.composite
+def forests(draw):
+    """``(parent, extra)``: a forest over positions plus extra bag members.
+
+    Parents always have larger positions, as elimination guarantees.
+    ``extra[pos]`` are further tree neighbors of bag ``pos`` — all later
+    than its parent, so the parent stays the bag's earliest neighbor.
+    """
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "chain", "singletons", "star"]))
+    parent: list[int | None] = []
+    extra: list[list[int]] = []
+    for pos in range(n):
+        later = n - 1 - pos
+        if shape == "chain":
+            p = pos + 1 if later else None
+        elif shape == "singletons":
+            p = None
+        elif shape == "star":
+            p = n - 1 if later else None
+        else:
+            p = draw(st.none() | st.integers(pos + 1, n - 1)) if later else None
+        parent.append(p)
+        beyond = list(range(p + 1, n)) if p is not None else []
+        extra.append(draw(st.lists(st.sampled_from(beyond), unique=True)) if beyond else [])
+    return parent, extra
+
+
+def _forest_decomposition(parent, extra, core_size=2):
+    """A decomposition whose bags encode ``parent`` (node ``i`` at position ``i``).
+
+    Every bag also holds the core nodes ``n .. n + core_size - 1``.
+    """
+    n = len(parent)
+    core = list(range(n, n + core_size))
+    order, counts, neighbors = list(range(n)), [], []
+    for pos, p in enumerate(parent):
+        bag = sorted(([] if p is None else [p]) + extra[pos] + core)
+        counts.append(len(bag))
+        neighbors.extend(bag)
+    graph = Graph.empty(n + core_size)
+    elimination = EliminationResult.from_arrays(
+        graph,
+        core_size,
+        order=order,
+        counts=counts,
+        neighbors=neighbors,
+        local=[1] * len(neighbors),
+        core_nodes=core,
+        core_counts=[0] * core_size,
+        core_targets=[],
+        core_weights=[],
+    )
+    return CoreTreeDecomposition.from_elimination(elimination)
+
+
+class TestParentWalkLCA:
+    """The Case 4 LCA walks parent pointers; checked against ``naive_lca``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests(), st.data())
+    def test_matches_naive_lca(self, forest, data):
+        parent, extra = forest
+        ctd = _forest_decomposition(parent, extra)
+        assert ctd.parent == parent
+        n = len(parent)
+        for _ in range(10):
+            u = data.draw(st.integers(0, n - 1))
+            v = data.draw(st.integers(0, n - 1))
+            expected = naive_lca(parent, u, v)
+            assert ctd.same_tree(u, v) == (expected is not None)
+            if expected is None:
+                with pytest.raises(DecompositionError):
+                    ctd.lca(u, v)
+            else:
+                assert ctd.lca(u, v) == ctd.lca(v, u) == expected
+
+    def test_deep_chain(self):
+        n = 3000
+        parent = [pos + 1 for pos in range(n - 1)] + [None]
+        ctd = _forest_decomposition(parent, [[] for _ in range(n)])
+        assert ctd.forest_height() == n
+        assert ctd.lca(0, n - 1) == n - 1
+        assert ctd.lca(0, 1) == 1
+        assert ctd.lca(5, 5) == 5
+        assert ctd.interface == {n - 1: (n, n + 1)}
+
+    def test_single_node_trees(self):
+        ctd = _forest_decomposition([None, None, None], [[], [], []])
+        assert ctd.roots == [0, 1, 2]
+        assert ctd.lca(1, 1) == 1
+        assert not ctd.same_tree(0, 2)
+        with pytest.raises(DecompositionError):
+            ctd.lca(0, 2)
