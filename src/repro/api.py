@@ -255,7 +255,7 @@ def save(index: CTIndex, path: PathLike, *, format: str = "json") -> None:
     """Write ``index`` to ``path``.
 
     ``format`` is ``"json"`` (the inspectable interchange document) or
-    ``"binary"`` (the checksummed v4 snapshot — smaller, much faster to
+    ``"binary"`` (the checksummed v5 snapshot — smaller, much faster to
     reload, and eligible for ``load(..., mmap=True)``).  :func:`load` auto-detects either, so the choice is purely
     a size/speed trade.
     """

@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("json", "binary"),
         default="json",
-        help="on-disk format: inspectable JSON document or v4 binary "
+        help="on-disk format: inspectable JSON document or v5 binary "
         "snapshot (identical content; binary loads faster)",
     )
     p_build.add_argument(

@@ -20,7 +20,7 @@ and the canonical form keeps :func:`index_fingerprint` — and the saved
 bytes — a pure function of the index *content*, independent of which
 backend stores it.
 
-A second, binary on-disk format (version 4, magic ``RCTINDEX``) lives
+A second, binary on-disk format (version 5, magic ``RCTINDEX``) lives
 in :mod:`repro.storage.binary`; :func:`load_ct_index` auto-detects it
 by magic, so one loader reads both formats.  See ``docs/formats.md``.
 """
@@ -36,7 +36,7 @@ from typing import Union
 from repro.exceptions import ReproError, SerializationError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import Graph
-from repro.graphs.reductions import EquivalenceReduction
+from repro.graphs.reductions import EquivalenceReduction, TwinKinds
 from repro.labeling.hub_labels import HubLabeling
 from repro.labeling.pll import PrunedLandmarkLabeling
 from repro.core.construction import TreeIndex
@@ -247,7 +247,7 @@ def _encode_reduction(reduction: EquivalenceReduction) -> dict:
         "reduced_graph": _encode_graph(reduction.reduced),
         "representative": reduction.representative,
         "originals": reduction.originals,
-        "twin_kind": reduction.twin_kind,
+        "twin_kind": list(reduction.twin_kind),
     }
 
 
@@ -257,7 +257,7 @@ def _decode_reduction(payload: dict, original: Graph) -> EquivalenceReduction:
         reduced=_decode_graph(payload["reduced_graph"]),
         representative=[int(v) for v in payload["representative"]],
         originals=[int(v) for v in payload["originals"]],
-        twin_kind=list(payload["twin_kind"]),
+        twin_kind=TwinKinds.from_kinds(payload["twin_kind"]),
     )
 
 

@@ -24,13 +24,62 @@ NumPy-less path and the test oracle.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 
 from repro.exceptions import GraphError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import INF, Graph, Weight
 from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, construction_kernel
 from repro.obs.tracing import span as obs_span
+
+
+#: Byte code of each ``twin_kind`` value (the binary snapshot's encoding).
+TWIN_KIND_CODES = {None: 0, "true": 1, "false": 2}
+_KIND_OF_CODE = (None, "true", "false")
+
+
+class TwinKinds(Sequence):
+    """``twin_kind`` decoded on demand from its byte codes.
+
+    ``codes`` is an ``array('B')`` whose entry ``v`` is the
+    :data:`TWIN_KIND_CODES` code of node ``v``.  Every reduction holds
+    its kinds this way, so a snapshot load adopts the stored code array
+    instead of building one Python object per node; ``twin_kind[v]``
+    decodes a single entry.  Compares equal to the decoded list.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes) -> None:
+        self.codes = codes
+
+    @classmethod
+    def from_kinds(cls, kinds) -> "TwinKinds":
+        """Encode ``"true"`` / ``"false"`` / ``None`` values (``KeyError`` on others)."""
+        return cls(array("B", [TWIN_KIND_CODES[kind] for kind in kinds]))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, v: int) -> str | None:
+        return _KIND_OF_CODE[self.codes[v]]
+
+    def __iter__(self):
+        return map(_KIND_OF_CODE.__getitem__, self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TwinKinds):
+            return self.codes.tobytes() == other.codes.tobytes()
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TwinKinds({list(self)!r})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,7 +99,8 @@ class EquivalenceReduction:
         ``originals[i]`` is the original node id kept for reduced node ``i``.
     twin_kind:
         ``twin_kind[v]`` is ``"true"`` / ``"false"`` for nodes folded into
-        a multi-member class and ``None`` for singleton classes.
+        a multi-member class and ``None`` for singleton classes, held as
+        a :class:`TwinKinds` over one byte code per node.
     build_kernel:
         ``"numpy"`` when the array kernel computed the reduction,
         ``"python"`` otherwise (not part of equality).
@@ -60,7 +110,7 @@ class EquivalenceReduction:
     reduced: Graph
     representative: list[int]
     originals: list[int]
-    twin_kind: list[str | None]
+    twin_kind: TwinKinds
     build_kernel: str = dataclasses.field(default=KERNEL_PYTHON, compare=False)
 
     @property
@@ -148,7 +198,7 @@ def _eliminate_scalar(graph: Graph) -> EquivalenceReduction:
         true_classes[closed].append(v)
 
     representative = identity.copy()
-    twin_kind: list[str | None] = [None] * graph.n
+    codes = array("B", bytes(graph.n))
     # False twins first; a node can belong to one false class and one true
     # class, but the classes never mix (members of a false class are
     # pairwise non-adjacent, of a true class pairwise adjacent).
@@ -159,13 +209,13 @@ def _eliminate_scalar(graph: Graph) -> EquivalenceReduction:
             keeper = members[0]
             for v in members:
                 representative[v] = keeper
-                twin_kind[v] = "false"
+                codes[v] = TWIN_KIND_CODES["false"]
     for members in true_classes.values():
-        if len(members) > 1 and all(twin_kind[v] is None for v in members):
+        if len(members) > 1 and not any(codes[v] for v in members):
             keeper = members[0]
             for v in members:
                 representative[v] = keeper
-                twin_kind[v] = "true"
+                codes[v] = TWIN_KIND_CODES["true"]
 
     keepers = sorted({representative[v] for v in graph.nodes()})
     compact = {orig: i for i, orig in enumerate(keepers)}
@@ -181,7 +231,7 @@ def _eliminate_scalar(graph: Graph) -> EquivalenceReduction:
         reduced=reduced,
         representative=final_representative,
         originals=keepers,
-        twin_kind=twin_kind,
+        twin_kind=TwinKinds(codes),
     )
 
 
@@ -193,8 +243,30 @@ def reduction_identity(graph: Graph) -> EquivalenceReduction:
         reduced=graph,
         representative=identity,
         originals=identity.copy(),
-        twin_kind=[None] * graph.n,
+        twin_kind=TwinKinds(array("B", bytes(graph.n))),
     )
+
+
+def first_members(representative) -> list[int] | None:
+    """Each class's smallest member, when those come in class order.
+
+    Both reduction paths fold a class into its smallest node and number
+    the classes by that node, so ``originals`` is exactly this list and
+    a snapshot need not store it.  Returns ``None`` when
+    ``representative`` is not numbered that way: a class id is negative,
+    or some class's first member comes before a smaller class's.
+    """
+    members: list[int] = []
+    k = 0
+    for v, rep_v in enumerate(representative):
+        if rep_v >= k:
+            if rep_v != k:
+                return None
+            members.append(v)
+            k += 1
+        elif rep_v < 0:
+            return None
+    return members
 
 
 def verify_reduction_distances(reduction: EquivalenceReduction, samples: int = 50) -> None:

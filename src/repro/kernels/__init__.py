@@ -114,17 +114,19 @@ def resolve_kernel(kernel: str = KERNEL_AUTO, *, flat: bool = True) -> str:
     if kernel == KERNEL_PYTHON:
         return KERNEL_PYTHON
     if kernel == KERNEL_NUMPY:
-        if not numpy_available():
-            raise ConfigurationError(
-                "kernel='numpy' requires NumPy, which is not installed; "
-                f"install the optional extra ({FAST_EXTRA}) or use "
-                "kernel='python'"
-            )
+        # The layout check comes first, so a dict-backed index gets the
+        # same error with or without NumPy installed.
         if not flat:
             raise ConfigurationError(
                 "kernel='numpy' reads the CSR arrays of the flat storage "
                 "backend; call compact() (or build with backend='flat') "
                 "before selecting it"
+            )
+        if not numpy_available():
+            raise ConfigurationError(
+                "kernel='numpy' requires NumPy, which is not installed; "
+                f"install the optional extra ({FAST_EXTRA}) or use "
+                "kernel='python'"
             )
         return KERNEL_NUMPY
     # auto: vectorize when possible, never complain when not.

@@ -25,17 +25,19 @@ The quotient graph is the ``np.unique`` of the mapped edge keys.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.reductions import TWIN_KIND_CODES, TwinKinds
 from repro.kernels.psl_rounds import expand_runs
 
 #: Salts of the two row hashes.
 SALTS = (0x9E3779B97F4A7C15, 0xD1B54A32D192ED03)
 
 #: ``twin_kind`` codes of :func:`eliminate_twins`.
-_KINDS = (None, "false", "true")
-_FALSE, _TRUE = 1, 2
+_FALSE, _TRUE = TWIN_KIND_CODES["false"], TWIN_KIND_CODES["true"]
 
 
 def csr_views(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +167,7 @@ def _exact_classes(
     return members_all[multi], keepers_all[multi]
 
 
-def eliminate_twins(graph: Graph) -> tuple[Graph, list[int], list[int], list]:
+def eliminate_twins(graph: Graph) -> tuple[Graph, list[int], list[int], TwinKinds]:
     """The twin reduction of an unweighted graph whose weights are all int 1.
 
     Returns ``(reduced, representative, originals, twin_kind)`` exactly
@@ -193,7 +195,7 @@ def eliminate_twins(graph: Graph) -> tuple[Graph, list[int], list[int], list]:
     )
 
     representative = np.arange(n, dtype=np.int64)
-    kind = np.zeros(n, dtype=np.int8)
+    kind = np.zeros(n, dtype=np.uint8)
     representative[false_members] = false_keepers
     kind[false_members] = _FALSE
     blocked = np.zeros(n, dtype=bool)
@@ -216,5 +218,6 @@ def eliminate_twins(graph: Graph) -> tuple[Graph, list[int], list[int], list]:
     lo, hi = np.divmod(edge_keys, np.int64(max(k, 1)))
     reduced_indptr, reduced_indices, _ = symmetric_csr(k, lo, hi)
     reduced = Graph._from_csr(k, reduced_indptr, reduced_indices, None, unweighted=True)
-    twin_kind = [_KINDS[code] for code in kind.tolist()]
-    return reduced, final.tolist(), originals.tolist(), twin_kind
+    codes = array("B")
+    codes.frombytes(kind.tobytes())
+    return reduced, final.tolist(), originals.tolist(), TwinKinds(codes)

@@ -166,7 +166,7 @@ class ServingFleet:
     Parameters
     ----------
     snapshot_path:
-        A v4 binary snapshot (``repro.save(..., format="binary")``).
+        A binary snapshot (``repro.save(..., format="binary")``).
         Every worker maps it with ``mmap=True``.
     workers:
         Process count (>= 1).

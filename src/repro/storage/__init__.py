@@ -6,7 +6,7 @@ Two things live here:
   :class:`FlatTreeLabelStore` (CSR tree labels), selected with
   ``backend="flat"`` on every build entry point or after the fact via
   ``index.compact()``;
-* the **binary snapshot format** (version 4) —
+* the **binary snapshot format** (version 5) —
   :func:`save_ct_index_binary` / :func:`load_ct_index_binary`, a
   checksummed little-endian section file that loads by ``frombytes``
   instead of JSON parsing (layout in ``docs/formats.md``).

@@ -1,4 +1,4 @@
-"""Versioned binary snapshots of built CT-Indexes (format version 4).
+"""Versioned binary snapshots of built CT-Indexes (format version 5).
 
 The JSON document of :mod:`repro.core.serialization` stays the
 inspectable interchange format; this module adds the fast path: label
@@ -8,17 +8,17 @@ millions of JSON tokens.
 
 Layout (full field-level description in ``docs/formats.md``)::
 
-    header   8s magic ("RCTINDEX")  u32 version (4)  u32 section count
+    header   8s magic ("RCTINDEX")  u32 version (5)  u32 section count
     table    per section: 12s name  u64 offset  u64 length  u32 crc32
     payload  concatenated section bodies
 
 Sections: ``meta`` (small JSON: format tag, version, bandwidth, build
-seconds), ``graph`` (original graph), ``reduction`` (reduced graph +
-twin maps), ``elim`` (MDE steps + core adjacency), ``treelabels``
-(CSR tree labels), ``core`` (vertex order + CSR 2-hop labels + core
-graph).  Every typed array is prefixed with its typecode, item size and
-count; every section's CRC-32 is verified before a single byte is
-decoded, so truncated or bit-flipped snapshots raise
+seconds), ``graph`` (original graph), ``reduction`` (twin maps),
+``elim`` (MDE bags + the core graph's rows), ``treelabels`` (CSR tree
+labels), ``core`` (vertex order + CSR 2-hop labels).  Every typed
+array is prefixed with its typecode, item size and count; every
+section's CRC-32 is verified before a single byte is decoded, so
+truncated or bit-flipped snapshots raise
 :class:`~repro.exceptions.SerializationError` instead of unpacking
 garbage.
 
@@ -29,6 +29,20 @@ treelabels/core sections, which are almost entirely small distances and
 node ids.  The loader reads versions 3 (always 8-byte/4-byte arrays)
 and 4 alike: the typecode prefix already tells it the layout.
 
+Version 5 stores each piece of the index once.  v3/v4 also embedded
+the reduced graph in ``reduction``, and ``core_originals`` plus the
+core graph in ``core``; all three follow from other sections, so v5
+drops them, and drops ``originals`` too when it is each twin class's
+smallest member (which both reduction paths produce).  The loader
+derives ``originals`` at load and both graphs on first use
+(:func:`_derived_graph`): the reduced graph is the subgraph of
+``graph`` induced on the class keepers, the core graph comes from the
+``elim`` core rows.  It checks what the dropped copies used to pin —
+the twin maps against each other, the core label count against the
+core — so a crafted file still raises
+:class:`~repro.exceptions.SerializationError`.  v3 and v4 snapshots
+load through the same decoder, reading their embedded copies.
+
 Loading defaults to the flat backend — the on-disk CSR arrays *are* the
 in-memory representation — but ``backend="dict"`` unpacks into the
 mutable dict layout.
@@ -36,7 +50,7 @@ mutable dict layout.
 ``mmap=True`` goes one step further: the file is memory-mapped
 read-only, every section's CRC is verified once against the mapped
 pages, and the big CSR sections (``treelabels``, ``core``, and the
-``elim`` bag arrays) are adopted as
+``elim`` arrays) are adopted as
 :class:`~repro.storage.mapped.MappedArray` views instead of copies —
 the decomposition and the flat stores then read, and
 :func:`repro.kernels.views.as_ndarray` wraps, the file's own pages.
@@ -60,7 +74,12 @@ from typing import Union
 from repro.exceptions import DecompositionError, ReproError, SerializationError
 from repro.graphs.graph import INF, Graph, Weight, int64_array, pack_weights
 from repro.obs.tracing import span as obs_span, tracing_enabled
-from repro.graphs.reductions import EquivalenceReduction
+from repro.graphs.reductions import (
+    TWIN_KIND_CODES,
+    EquivalenceReduction,
+    TwinKinds,
+    first_members,
+)
 from repro.storage.flat_labels import FlatLabelStore
 from repro.storage.flat_tree import INF_SENTINEL, FlatTreeLabelStore
 from repro.storage.mapped import LazyGraph, MappedArray, MappedSnapshot
@@ -73,11 +92,13 @@ MAGIC = b"RCTINDEX"
 #: Version written by :func:`save_ct_index_binary`.  Version 3 was the
 #: first binary format (versions 1-2 are the JSON documents of
 #: :mod:`repro.core.serialization`); version 4 narrows integer arrays
-#: to their smallest sufficient typecode.
-BINARY_FORMAT_VERSION = 4
+#: to their smallest sufficient typecode; version 5 stops storing the
+#: pieces the loader can derive (the reduced graph, the core graph and
+#: ``core_originals``, and ``originals`` when it is derivable too).
+BINARY_FORMAT_VERSION = 5
 
 #: Header versions :func:`load_ct_index_binary` accepts.
-SUPPORTED_BINARY_VERSIONS = frozenset({3, 4})
+SUPPORTED_BINARY_VERSIONS = frozenset({3, 4, 5})
 
 _HEADER = struct.Struct("<8sII")
 _SECTION = struct.Struct("<12sQQI")
@@ -96,9 +117,8 @@ _DIST_CODES = _SIGNED_INT_CODES + "d"
 #: Hub-rank arrays: unsigned (v3 wrote 'I'; v4 narrows to B/H).
 _RANK_CODES = "BHI"
 
-#: twin_kind byte encoding (reduction section).
-_TWIN_CODES = {None: 0, "true": 1, "false": 2}
-_TWIN_KINDS = {code: kind for kind, code in _TWIN_CODES.items()}
+#: The bytes a twin-kind code array may hold (reduction section).
+_TWIN_CODE_BYTES = bytes(sorted(TWIN_KIND_CODES.values()))
 
 
 # ----------------------------------------------------------------------
@@ -494,13 +514,32 @@ def _lazy_graph(name: str, n: int, span) -> LazyGraph:
     return LazyGraph(n, thunk)
 
 
+def _derived_graph(path: Path, name: str, n: int, derive) -> LazyGraph:
+    """A :class:`~repro.storage.mapped.LazyGraph` built by ``derive()``.
+
+    A v5 snapshot stores neither the reduced nor the core graph; each
+    is rebuilt from the sections that define it, on first touch.  A
+    malformed section surfaces then as :class:`SerializationError`.
+    """
+
+    def thunk() -> Graph:
+        try:
+            return derive()
+        except (KeyError, IndexError, ValueError, ReproError) as exc:
+            raise SerializationError(
+                f"cannot derive the {name} graph of {path}: {exc!r}"
+            ) from exc
+
+    return LazyGraph(n, thunk)
+
+
 # ----------------------------------------------------------------------
 # Saving
 # ----------------------------------------------------------------------
 
 
 def save_ct_index_binary(index, path: PathLike) -> None:
-    """Write ``index`` to ``path`` as a v4 binary snapshot.
+    """Write ``index`` to ``path`` as a v5 binary snapshot.
 
     Works on either storage backend (dict-backed labels are packed on
     the way out); the snapshot itself is backend-agnostic, like the JSON
@@ -521,17 +560,13 @@ def save_ct_index_binary(index, path: PathLike) -> None:
     sections["graph"] = bytes(buf)
 
     reduction = index.reduction
+    originals = reduction.originals
+    if first_members(reduction.representative) == originals:
+        originals = []  # the loader derives it: each class's first member
     buf = bytearray()
-    _put_graph(buf, reduction.reduced)
     _put_narrow(buf, array("q", reduction.representative))
-    _put_narrow(buf, array("q", reduction.originals))
-    try:
-        twin_codes = array("B", (_TWIN_CODES[kind] for kind in reduction.twin_kind))
-    except KeyError as exc:
-        raise SerializationError(
-            f"cannot encode twin kind {exc.args[0]!r} in a binary snapshot"
-        ) from exc
-    _put_array(buf, twin_codes)
+    _put_narrow(buf, array("q", originals))
+    _put_array(buf, reduction.twin_kind.codes)
     sections["reduction"] = bytes(buf)
 
     elimination = index.decomposition.elimination
@@ -557,12 +592,10 @@ def save_ct_index_binary(index, path: PathLike) -> None:
     core_store = FlatLabelStore.from_store(index.core_index.labels)
     order, offsets, hub_ranks, hub_dists = core_store.csr_arrays()
     buf = bytearray()
-    _put_narrow(buf, array("q", index.core_originals))
     _put_narrow(buf, order)
     _put_narrow(buf, offsets)
     _put_narrow(buf, hub_ranks)
     _put_narrow(buf, hub_dists)
-    _put_graph(buf, index.core_index.graph)
     sections["core"] = bytes(buf)
 
     table_bytes = _HEADER.size + _SECTION.size * len(_SECTION_NAMES)
@@ -721,6 +754,49 @@ def load_ct_index_binary(path: PathLike, *, backend: str = "flat", mmap: bool = 
             ) from exc
 
 
+def _class_maps(
+    path: Path, n: int, stored_representative, stored_originals
+) -> tuple[list[int], list[int]]:
+    """``(representative, originals)`` of the reduction section, checked.
+
+    Every ``representative[v]`` must name one of the ``k`` classes, and
+    ``representative[originals[i]]`` must be ``i``: the invariants the
+    stored reduced graph used to pin.  ``originals`` must also ascend,
+    so the reduced graph derived as the subgraph induced on the keepers
+    numbers them as ``representative`` does.  An empty ``originals``
+    array means the writer left it out; it is then each class's first
+    member, and the classes must be numbered in that order.
+    """
+    if len(stored_representative) != n:
+        raise SerializationError(
+            f"reduction section of {path} maps {len(stored_representative)} "
+            f"nodes for a {n}-node graph"
+        )
+    representative = stored_representative.tolist()
+    if not len(stored_originals):
+        originals = first_members(representative)
+        if originals is None:
+            raise SerializationError(
+                f"reduction section of {path} stores no originals and does "
+                f"not number its twin classes in order of their smallest members"
+            )
+        return representative, originals
+    originals = stored_originals.tolist()
+    k = len(originals)
+    if n and not (0 <= min(representative) and max(representative) < k):
+        raise SerializationError(
+            f"reduction section of {path} maps a node to a class outside 0..{k - 1}"
+        )
+    if any(
+        not 0 <= keeper < n or representative[keeper] != i
+        for i, keeper in enumerate(originals)
+    ):
+        raise SerializationError(f"representative and originals of {path} disagree")
+    if any(a >= b for a, b in zip(originals, originals[1:])):
+        raise SerializationError(f"originals of {path} do not ascend")
+    return representative, originals
+
+
 def _decode_snapshot(
     path: Path,
     sections: dict[str, bytes],
@@ -765,28 +841,48 @@ def _decode_snapshot(
         graph = _read_graph(cursor)
     cursor.done()
 
+    # v3/v4 embed the reduced graph; v5 derives it from ``graph``.
+    legacy = version < 5
     cursor = _Cursor("reduction", sections["reduction"])
-    if zero_copy:
+    if legacy and zero_copy:
         n_reduced, reduced_span = _skip_graph(cursor)
         reduced = _lazy_graph("reduction", n_reduced, reduced_span)
-    else:
+    elif legacy:
         reduced = _read_graph(cursor)
-    representative = list(cursor.typed_array(_INT_CODES))
-    originals_map = list(cursor.typed_array(_INT_CODES))
+    stored_representative = cursor.typed_array(_INT_CODES)
+    stored_originals = cursor.typed_array(_INT_CODES)
     twin_codes = cursor.typed_array("B")
     cursor.done()
-    try:
-        twin_kind = [_TWIN_KINDS[code] for code in twin_codes]
-    except KeyError as exc:
-        raise SerializationError(
-            f"unknown twin-kind code {exc.args[0]!r} in {path}"
-        ) from exc
+    representative, originals = _class_maps(
+        path, graph.n, stored_representative, stored_originals
+    )
+    if len(twin_codes) != graph.n or twin_codes.tobytes().translate(
+        None, _TWIN_CODE_BYTES
+    ):
+        raise SerializationError(f"corrupt twin-kind codes in {path}")
+    if legacy:
+        if reduced.n != len(originals):
+            raise SerializationError(
+                f"reduced graph of {path} has {reduced.n} nodes for "
+                f"{len(originals)} twin classes"
+            )
+    elif len(originals) == graph.n:
+        # n checked classes of one node each, numbered by ascending
+        # keeper: the identity reduction (weighted graphs).
+        reduced = graph
+    else:
+        reduced = _derived_graph(
+            path,
+            "reduced",
+            len(originals),
+            lambda: graph.induced_subgraph(originals)[0],
+        )
     reduction = EquivalenceReduction(
         original=graph,
         reduced=reduced,
         representative=representative,
-        originals=originals_map,
-        twin_kind=twin_kind,
+        originals=originals,
+        twin_kind=TwinKinds(twin_codes),
     )
 
     # The elim arrays are adopted as they are (views over the map when
@@ -839,16 +935,23 @@ def _decode_snapshot(
     tree_index = TreeIndex(decomposition, tree_labels)
 
     cursor = _Cursor("core", sections["core"], zero_copy=zero_copy)
-    core_originals = list(cursor.typed_array(_INT_CODES))
+    if legacy:
+        core_originals = list(cursor.typed_array(_INT_CODES))
     order = cursor.typed_array(_INT_CODES)
     offsets = cursor.typed_array(_INT_CODES)
     hub_ranks = cursor.typed_array(_RANK_CODES)
     hub_dists = cursor.typed_array(_DIST_CODES)
-    if zero_copy:
+    if legacy and zero_copy:
         n_core, core_span = _skip_graph(cursor)
         core_graph = _lazy_graph("core", n_core, core_span)
-    else:
+    elif legacy:
         core_graph = _read_graph(cursor)
+    else:
+        # v5: the core is G_{λ+1}, stored once in the elim section.
+        core_originals = elimination.core_nodes
+        core_graph = _derived_graph(
+            path, "core", len(core_originals), lambda: elimination.core_graph()[0]
+        )
     cursor.done()
     if zero_copy:
         store = FlatLabelStore.adopt_arrays(order, offsets, hub_ranks, hub_dists)
@@ -860,7 +963,7 @@ def _decode_snapshot(
         raise SerializationError(
             f"core section of {path} is internally inconsistent "
             f"({store.n} labeled nodes, {core_graph.n} core-graph nodes, "
-            f"{len(core_originals)} originals)"
+            f"{len(core_originals)} core nodes)"
         )
     labels = store if backend == "flat" else store.to_hub_labeling()
     core_index = PrunedLandmarkLabeling(core_graph, labels, list(order))

@@ -1,6 +1,6 @@
 """Buffer-backed array views over a memory-mapped snapshot.
 
-The v4 binary snapshot stores every label array as raw little-endian
+The binary snapshot stores every label array as raw little-endian
 machine words.  When :func:`repro.storage.binary.load_ct_index_binary`
 is called with ``mmap=True`` it maps the file read-only and hands the
 big CSR sections out as :class:`MappedArray` views instead of copied

@@ -5,15 +5,16 @@ Run from the repository root::
     PYTHONPATH=src python tests/core/golden/regenerate.py
 
 The fixtures pin the on-disk formats: ``index_v2.json`` is the JSON
-document (format version 2), ``index_v3.ctsnap`` the binary snapshot
-of format version 3 and ``index_v4.ctsnap`` of format version 4, all
-of the same deterministic build —
+document (format version 2), and ``index_v3.ctsnap``,
+``index_v4.ctsnap`` and ``index_v5.ctsnap`` are the binary snapshots of
+format versions 3, 4 and 5, all of the same deterministic build —
 ``CTIndex.build(gnp_graph(20, 0.2, seed=1), bandwidth=3)`` with
 ``build_seconds`` zeroed so the bytes are reproducible.
 
-``index_v3.ctsnap`` is *frozen*: the current writer only emits version
-4, so the v3 fixture can never be regenerated — it exists precisely to
-prove today's loader still reads bytes written by the v3 writer.
+``index_v3.ctsnap`` and ``index_v4.ctsnap`` are *frozen*: the current
+writer only emits version 5, so those fixtures can never be
+regenerated — they exist precisely to prove today's loader still reads
+bytes written by the older writers.
 
 Only regenerate after an *intentional* format change; the golden tests
 in ``tests/core/test_serialization.py`` exist to catch accidental ones.
@@ -46,8 +47,11 @@ def golden_index() -> CTIndex:
 def main() -> None:
     index = golden_index()
     save_ct_index(index, GOLDEN_DIR / "index_v2.json")
-    save_ct_index_binary(index, GOLDEN_DIR / "index_v4.ctsnap")
-    print(f"wrote fixtures to {GOLDEN_DIR} (index_v3.ctsnap is frozen)")
+    save_ct_index_binary(index, GOLDEN_DIR / "index_v5.ctsnap")
+    print(
+        f"wrote fixtures to {GOLDEN_DIR} "
+        f"(index_v3.ctsnap and index_v4.ctsnap are frozen)"
+    )
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
 from repro.graphs.traversal import all_pairs_distances
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+BINARY_FIXTURES = ["index_v3.ctsnap", "index_v4.ctsnap", "index_v5.ctsnap"]
 
 
 def _reject_constant(name: str):
@@ -245,7 +246,7 @@ class TestGoldenFixtures:
             for t in index.graph.nodes():
                 assert index.distance(s, t) == truth[s][t], (s, t)
 
-    @pytest.mark.parametrize("fixture", ["index_v3.ctsnap", "index_v4.ctsnap"])
+    @pytest.mark.parametrize("fixture", BINARY_FIXTURES)
     def test_golden_binary_loads_and_answers(self, fixture):
         index = load_ct_index(GOLDEN_DIR / fixture)
         assert index.bandwidth == self.BANDWIDTH
@@ -255,7 +256,7 @@ class TestGoldenFixtures:
             for t in index.graph.nodes():
                 assert index.distance(s, t) == truth[s][t], (s, t)
 
-    @pytest.mark.parametrize("fixture", ["index_v3.ctsnap", "index_v4.ctsnap"])
+    @pytest.mark.parametrize("fixture", BINARY_FIXTURES)
     def test_golden_fixtures_are_the_same_index(self, fixture):
         from_json = load_ct_index(GOLDEN_DIR / "index_v2.json")
         from_binary = load_ct_index(GOLDEN_DIR / fixture)
@@ -273,15 +274,22 @@ class TestGoldenFixtures:
     def test_golden_binary_headers_pin_their_versions(self):
         from repro.storage.binary import _HEADER, BINARY_FORMAT_VERSION, MAGIC
 
-        for fixture, expected in (("index_v3.ctsnap", 3), ("index_v4.ctsnap", 4)):
+        for fixture, expected in zip(BINARY_FIXTURES, (3, 4, 5)):
             data = (GOLDEN_DIR / fixture).read_bytes()
             magic, version, _count = _HEADER.unpack_from(data, 0)
             assert magic == MAGIC
             assert version == expected
-        assert BINARY_FORMAT_VERSION == 4
+        assert BINARY_FORMAT_VERSION == 5
 
     def test_golden_v4_fixture_is_smaller_than_v3(self):
         # The point of v4: narrowest-sufficient typecodes shrink the file.
         v3 = (GOLDEN_DIR / "index_v3.ctsnap").stat().st_size
         v4 = (GOLDEN_DIR / "index_v4.ctsnap").stat().st_size
         assert v4 < v3
+
+    def test_golden_v5_fixture_is_smaller_than_v4(self):
+        # The point of v5: the reduced graph, the core graph and the
+        # class maps that follow from other sections are not stored.
+        v4 = (GOLDEN_DIR / "index_v4.ctsnap").stat().st_size
+        v5 = (GOLDEN_DIR / "index_v5.ctsnap").stat().st_size
+        assert v5 < v4

@@ -209,7 +209,7 @@ class TestBinaryHeaderCorruption:
         with pytest.raises(SerializationError):
             load_ct_index(path)
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 5, 99, 2**32 - 1])
+    @pytest.mark.parametrize("version", [0, 1, 2, 6, 99, 2**32 - 1])
     def test_unsupported_header_version(self, tmp_path, snapshot_bytes, version):
         corrupted = bytearray(snapshot_bytes)
         corrupted[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", version)
@@ -219,8 +219,9 @@ class TestBinaryHeaderCorruption:
     def test_version_3_header_on_v4_payload_mismatches_meta(
         self, tmp_path, snapshot_bytes
     ):
-        # 3 is an accepted header version, but the meta section of a v4
-        # snapshot pins 4 — rewriting only the header must not load.
+        # 3 is an accepted header version, but the meta section of a
+        # current snapshot pins its own version — rewriting only the
+        # header must not load.
         corrupted = bytearray(snapshot_bytes)
         corrupted[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 3)
         with pytest.raises(SerializationError, match="meta section claims"):

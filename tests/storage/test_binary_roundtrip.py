@@ -179,3 +179,107 @@ class TestWeightedAndSpecial:
         loaded = load_ct_index(path)
         assert loaded.bandwidth == bandwidth
         assert index_fingerprint(loaded) == index_fingerprint(index)
+
+
+def _unit_float_weights(graph):
+    """``graph`` with every weight the float ``1.0`` (still unweighted)."""
+    from repro.graphs.builder import GraphBuilder
+
+    builder = GraphBuilder(graph.n)
+    for u, v, _ in graph.edges():
+        builder.add_edge(u, v, 1.0)
+    return builder.build()
+
+
+def _true_and_false_twins():
+    """Triangle 0-1-2 (0, 1 true twins) hanging off a star (5, 6 false twins)."""
+    from repro.graphs.builder import GraphBuilder
+
+    builder = GraphBuilder(7)
+    builder.add_clique([0, 1, 2])
+    builder.add_path([2, 3, 4])
+    builder.add_edge(4, 5)
+    builder.add_edge(4, 6)
+    return builder.build()
+
+
+def _v5_graphs():
+    from repro.graphs.generators.primitives import path_graph
+    from tests.differential.cases import FAST_CASES
+
+    graphs = {case.generator: case.build_graph for case in FAST_CASES}
+    graphs["unit_float"] = lambda: _unit_float_weights(
+        FAST_CASES[1].build_graph()
+    )
+    graphs["true_and_false_twins"] = _true_and_false_twins
+    graphs["no_twins"] = lambda: path_graph(9)
+    return graphs
+
+
+V5_GRAPHS = _v5_graphs()
+
+
+class TestVersion5:
+    """v5 stores neither the reduced nor the core graph, nor the class
+    maps it can derive; loading must still give back the built index."""
+
+    @pytest.mark.parametrize("use_mmap", [False, True], ids=["copy", "mmap"])
+    @pytest.mark.parametrize("name", sorted(V5_GRAPHS))
+    def test_loaded_fingerprint_equals_built(self, tmp_path, name, use_mmap):
+        index = CTIndex.build(V5_GRAPHS[name](), 3)
+        path = tmp_path / f"{name}.ctsnap"
+        save_ct_index_binary(index, path)
+        loaded = load_ct_index_binary(path, mmap=use_mmap)
+        assert index_fingerprint(loaded) == index_fingerprint(index)
+        assert loaded.reduction == index.reduction
+        assert loaded.core_index.graph == index.core_index.graph
+        assert loaded.core_originals == index.core_originals
+
+    def test_cases_cover_every_reduction_shape(self):
+        from repro.graphs.reductions import eliminate_equivalent_nodes
+
+        reductions = {name: eliminate_equivalent_nodes(make()) for name, make in V5_GRAPHS.items()}
+        weighted = reductions["weighted_gnp"]
+        assert weighted.reduced is weighted.original  # identity reduction
+        unit_float = reductions["unit_float"]
+        assert unit_float.build_kernel == "python" and unit_float.removed_count > 0
+        assert {"true", "false"} <= set(reductions["true_and_false_twins"].twin_kind)
+        assert reductions["no_twins"].removed_count == 0
+        assert reductions["core_periphery"].removed_count > 0
+
+    def test_identity_reduction_reuses_the_graph(self, tmp_path):
+        index = CTIndex.build(V5_GRAPHS["weighted_gnp"](), 3)
+        path = tmp_path / "weighted.ctsnap"
+        save_ct_index_binary(index, path)
+        for use_mmap in (False, True):
+            loaded = load_ct_index_binary(path, mmap=use_mmap)
+            assert loaded.reduction.reduced is loaded.graph
+
+    def test_sections_hold_each_piece_once(self, tmp_path):
+        from repro.storage.binary import _INT_CODES, _Cursor, _read_sections
+
+        index = CTIndex.build(V5_GRAPHS["core_periphery"](), 3)
+        path = tmp_path / "cp.ctsnap"
+        save_ct_index_binary(index, path)
+        _, sections, _ = _read_sections(path)
+        reduction = _Cursor("reduction", sections["reduction"])
+        assert list(reduction.typed_array(_INT_CODES)) == index.reduction.representative
+        assert len(reduction.typed_array(_INT_CODES)) == 0  # originals: derived
+        assert len(reduction.typed_array("B")) == index.graph.n
+        reduction.done()  # no reduced graph follows
+        core = _Cursor("core", sections["core"])
+        for _ in range(4):  # order, offsets, hub ranks, hub distances
+            core.typed_array()
+        core.done()  # neither core_originals nor a core graph
+
+    def test_twin_kinds_stay_codes(self, tmp_path):
+        from repro.graphs.reductions import TwinKinds
+
+        index = CTIndex.build(_true_and_false_twins(), 2)
+        path = tmp_path / "twins.ctsnap"
+        save_ct_index_binary(index, path)
+        loaded = load_ct_index_binary(path)
+        assert isinstance(loaded.reduction.twin_kind, TwinKinds)
+        assert loaded.reduction.twin_kind == list(index.reduction.twin_kind)
+        assert loaded.distance(0, 1) == 1
+        assert loaded.distance(5, 6) == 2

@@ -3,8 +3,9 @@
 A mapped load must be indistinguishable from a copying load at the
 query level (fingerprint and answer identity under both kernels) while
 actually deferring work: label arrays are views over the mapped file,
-all three serialized graphs stay lazy until something outside the
-query path (e.g. fingerprinting) forces a decode, and the core-tree
+all three graphs (the stored original, the derived reduced and core
+graphs) stay lazy until something outside the query path (e.g.
+fingerprinting) forces a decode or derivation, and the core-tree
 decomposition is served from the adopted elim arrays without building
 step objects, core-adjacency dicts or an LCA table.
 """
@@ -127,6 +128,24 @@ class TestLaziness:
         assert lazy.materialized
         for v in range(lazy.n):
             assert list(lazy.neighbors(v)) == list(copied.graph.neighbors(v))
+
+    def test_derived_graphs_match_copy_load_and_build(self, saved):
+        # v5 stores neither graph: the mapped load derives both lazily,
+        # from the graph and the twin maps, and from the elim section.
+        _, index, path = saved
+        mapped = load_ct_index_binary(path, mmap=True)
+        copied = load_ct_index_binary(path)
+        assert mapped.reduction.removed_count > 0
+        derived = [
+            (mapped.reduction.reduced, copied.reduction.reduced, index.reduction.reduced),
+            (mapped.core_index.graph, copied.core_index.graph, index.core_index.graph),
+        ]
+        for lazy, copy, built in derived:
+            assert not lazy.materialized
+            assert lazy == copy == built
+            assert lazy.materialized
+        # Deriving the reduced graph decodes the graph it comes from.
+        assert mapped.graph.materialized
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_as_ndarray_views_the_mapped_file(self, saved):
