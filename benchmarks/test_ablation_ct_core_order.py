@@ -29,7 +29,7 @@ def test_ablation_ct_core_order(benchmark, save_table):
 
     graph = load_dataset("talk")
     benchmark.pedantic(
-        lambda: CTIndex.build(graph, 20, core_order="elimination"),
+        lambda: CTIndex.build(graph, 20, order="elimination"),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -44,7 +44,7 @@ from repro.api import (
     query_from,
     save,
 )
-from repro.core import CTIndex, build_ct_index
+from repro.core import CTIndex
 from repro.exceptions import (
     ConfigurationError,
     DecompositionError,
@@ -78,7 +78,6 @@ __all__ = [
     "SerializationError",
     "__version__",
     "build",
-    "build_ct_index",
     "distance_many",
     "is_shortest_path",
     "load",

@@ -50,11 +50,10 @@ SAVE_FORMATS = ("json", "binary")
 #: explicit kwargs can be conflict-checked against a ``config=``.
 _UNSET = object()
 
-_ORDERS = (None, "degree", "elimination", "is")
-_CORE_BACKENDS = ("pll", "psl", "hopdb")
+_ORDERS = (None, "degree", "elimination")
+_CORE_BACKENDS = ("pll", "psl")
 _BACKENDS = ("dict", "flat")
 _KERNELS = ("auto", "numpy", "python")
-_HOPDB_ORDERS = ("degree", "psl-rank")
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,7 @@ class BuildConfig:
     None of the fields except ``bandwidth``, ``order``, and
     ``use_equivalence_reduction`` can change a query answer; ``workers``,
     ``backend``, ``core_backend``, and ``kernel`` are schedule/storage
-    choices that build fingerprint-identical indexes.  ``hopdb_order``
-    is exactness-preserving but *not* fingerprint-preserving: a
-    non-degree hub order builds a different (still canonical for that
-    order) label set, which is why it is restricted to
-    ``core_backend="hopdb"``.
+    choices that build fingerprint-identical indexes.
     """
 
     bandwidth: int = 20
@@ -90,7 +85,6 @@ class BuildConfig:
     use_equivalence_reduction: bool = True
     extension_cache_size: int = 256
     kernel: str = "auto"
-    hopdb_order: str = "degree"
 
     def __post_init__(self) -> None:
         if not isinstance(self.bandwidth, int) or isinstance(self.bandwidth, bool):
@@ -141,16 +135,6 @@ class BuildConfig:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; expected one of {_KERNELS}"
             )
-        if self.hopdb_order not in _HOPDB_ORDERS:
-            raise ConfigurationError(
-                f"unknown hopdb_order {self.hopdb_order!r}; "
-                f"expected one of {_HOPDB_ORDERS}"
-            )
-        if self.hopdb_order != "degree" and self.core_backend != "hopdb":
-            raise ConfigurationError(
-                f"hopdb_order={self.hopdb_order!r} tunes the hopdb backend; "
-                f"it cannot be combined with core_backend={self.core_backend!r}"
-            )
 
     def replace(self, **overrides) -> "BuildConfig":
         """A copy with ``overrides`` applied (re-validated eagerly)."""
@@ -186,6 +170,40 @@ class BuildConfig:
         return cls(**data)
 
 
+def resolve_config_kwargs(config: BuildConfig | None, explicit: dict) -> BuildConfig:
+    """Merge a ``BuildConfig`` with explicitly passed loose kwargs.
+
+    ``explicit`` holds only the kwargs the caller actually spelled out
+    (callers filter out their not-passed sentinel before calling).  With
+    no ``config`` the kwargs are applied over the defaults; with one,
+    every explicit kwarg must agree with the config's value — agreement
+    is fine (the caller is being redundant, not wrong), disagreement is
+    a :class:`~repro.exceptions.ConfigurationError` naming every
+    conflicting knob.
+    """
+    if config is None:
+        return BuildConfig().replace(**explicit) if explicit else BuildConfig()
+    if not isinstance(config, BuildConfig):
+        raise ConfigurationError(
+            f"config= must be a BuildConfig, got {type(config).__name__}"
+        )
+    conflicts = {
+        name: value
+        for name, value in explicit.items()
+        if value != getattr(config, name)
+    }
+    if conflicts:
+        detail = ", ".join(
+            f"{name}={value!r} (config has {getattr(config, name)!r})"
+            for name, value in sorted(conflicts.items())
+        )
+        raise ConfigurationError(
+            f"kwargs conflict with config=: {detail}; drop one spelling "
+            "or make them agree"
+        )
+    return config
+
+
 def build(
     graph: Graph,
     bandwidth: int | None = None,
@@ -198,7 +216,6 @@ def build(
     use_equivalence_reduction=_UNSET,
     extension_cache_size=_UNSET,
     kernel=_UNSET,
-    hopdb_order=_UNSET,
 ) -> CTIndex:
     """Build a CT-Index on ``graph``.
 
@@ -217,8 +234,6 @@ def build(
     (:mod:`repro.kernels`) are differentially verified against the
     ``"python"`` ones.
     """
-    from repro.deprecation import resolve_config_kwargs
-
     overrides = {
         "workers": workers,
         "backend": backend,
@@ -227,7 +242,6 @@ def build(
         "use_equivalence_reduction": use_equivalence_reduction,
         "extension_cache_size": extension_cache_size,
         "kernel": kernel,
-        "hopdb_order": hopdb_order,
     }
     explicit = {k: v for k, v in overrides.items() if v is not _UNSET}
     if bandwidth is not None:
@@ -236,7 +250,7 @@ def build(
         raise ConfigurationError(
             "bandwidth is required (pass it directly or via config=)"
         )
-    resolved = resolve_config_kwargs(config, explicit, config_cls=BuildConfig)
+    resolved = resolve_config_kwargs(config, explicit)
     return CTIndex.build(
         graph,
         resolved.bandwidth,
@@ -247,7 +261,6 @@ def build(
         use_equivalence_reduction=resolved.use_equivalence_reduction,
         extension_cache_size=resolved.extension_cache_size,
         kernel=resolved.kernel,
-        hopdb_order=resolved.hopdb_order,
     )
 
 

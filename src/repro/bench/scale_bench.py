@@ -10,11 +10,7 @@ Schema 2 additions: each entry names its ``workers`` count, carries the
 per-build ``round_split`` (the PSL rounds' kernel vs merge seconds, when
 the vectorized core path ran), and — when ``--workers`` sweeps several
 counts over one tier — ``speedup_vs_serial`` relative to that tier's
-``workers=1`` build in the same run.  ``--hopdb-ablation`` appends, per
-tier, a ``core_backend="hopdb"`` pair comparing ``hopdb_order="degree"``
-(fingerprint-gated: same canonical labels) against
-``hopdb_order="psl-rank"`` (BFS-gated: a different hub order builds a
-different, still exact, label set).
+``workers=1`` build in the same run.
 
 Every tier is **gated on correctness before anything is written**:
 
@@ -210,18 +206,13 @@ def scale_bench_entry(
     *,
     config: BuildConfig = DEFAULT_CONFIG,
     graph: Graph | None = None,
-    force_bfs_gate: bool = False,
 ) -> dict:
     """Generate, build, verify, and measure one tier.
 
     Raises :class:`ReproError` (and returns nothing) when the
     correctness gate fails; callers must not record anything for a tier
     that did not pass.  ``graph`` reuses an already-generated graph
-    (worker sweeps rebuild the same tier several times);
-    ``force_bfs_gate`` swaps the fingerprint gate for the BFS gate even
-    on small tiers — required for configurations (a non-degree
-    ``hopdb_order``) whose labels are exact but legitimately differ
-    from the serial reference's bytes.
+    (worker sweeps rebuild the same tier several times).
     """
     gen_started = time.perf_counter()
     if graph is None:
@@ -232,7 +223,7 @@ def scale_bench_entry(
     index = CTIndex.build(graph, config=config)
     build_seconds = time.perf_counter() - build_started
 
-    if graph.n <= FINGERPRINT_MAX_N and not force_bfs_gate:
+    if graph.n <= FINGERPRINT_MAX_N:
         verify = _verify_fingerprint(graph, index, config)
     else:
         verify = _verify_bfs(graph, index)
@@ -282,7 +273,6 @@ def run_scale_bench(
     *,
     config: BuildConfig = DEFAULT_CONFIG,
     workers=None,
-    hopdb_ablation: bool = False,
     max_n: int | None = None,
     output=BENCH_SCALE_PATH,
 ) -> tuple[list[dict], str]:
@@ -293,10 +283,7 @@ def run_scale_bench(
     worker counts over every tier (each count is one entry; counts
     beyond the first reuse the generated graph, and entries record
     ``speedup_vs_serial`` against the sweep's ``workers=1`` build when
-    one is present).  ``hopdb_ablation`` appends, per tier, a
-    ``core_backend="hopdb"`` pair with ``hopdb_order`` ``"degree"``
-    vs ``"psl-rank"`` (the latter BFS-gated — its labels are exact but
-    not byte-identical to the serial reference).
+    one is present).
 
     Every tier's correctness gate runs **before** anything is written:
     a failing gate raises and leaves ``output`` untouched, even for
@@ -342,19 +329,6 @@ def run_scale_bench(
                     serial_build_s / max(entry["build_s"], 1e-9), 2
                 )
             entries.append(entry)
-        if hopdb_ablation:
-            for hopdb_order in ("degree", "psl-rank"):
-                ablation_config = config.replace(
-                    core_backend="hopdb", hopdb_order=hopdb_order, workers=None
-                )
-                entry = scale_bench_entry(
-                    tier,
-                    config=ablation_config,
-                    graph=graph,
-                    force_bfs_gate=hopdb_order != "degree",
-                )
-                entry["ablation"] = "hopdb_order"
-                entries.append(entry)
 
     if output is not None:
         path = Path(output)

@@ -119,24 +119,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--order",
-        choices=("degree", "elimination", "is"),
+        choices=("degree", "elimination"),
         default=None,
-        help="ordering strategy: degree (default), elimination (theory "
-        "order), or is (independent-set periphery elimination)",
+        help="core hub order: degree (default) or elimination (theory order)",
     )
     p_build.add_argument(
         "--core-backend",
-        choices=("pll", "psl", "hopdb"),
+        choices=("pll", "psl"),
         default=None,
         help="core labeling algorithm (identical labels; default pll)",
-    )
-    p_build.add_argument(
-        "--hopdb-order",
-        choices=("degree", "psl-rank"),
-        default=None,
-        help="hub order of the hopdb core backend (exact either way; "
-        "psl-rank breaks degree ties by neighbor degree mass and is "
-        "only valid with --core-backend hopdb)",
     )
     p_build.add_argument(
         "--kernel",
@@ -459,12 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "count; entries after a workers=1 build record speedup_vs_serial)",
     )
     p_scale.add_argument(
-        "--hopdb-ablation",
-        action="store_true",
-        help="per tier, also build core_backend=hopdb with "
-        "hopdb_order=degree (fingerprint-gated) and psl-rank (BFS-gated)",
-    )
-    p_scale.add_argument(
         "-o",
         "--output",
         default="BENCH_scale.json",
@@ -651,10 +636,10 @@ def _resolve_build_config(args: argparse.Namespace):
 
     Flags default to ``None`` (= not passed) so only knobs the user
     actually spelled out participate; a flag that disagrees with the
-    config document raises ConfigurationError via the shared shim.
+    config document raises ConfigurationError (see
+    :func:`repro.api.resolve_config_kwargs`).
     """
-    from repro.api import BuildConfig
-    from repro.deprecation import resolve_config_kwargs
+    from repro.api import BuildConfig, resolve_config_kwargs
 
     config = None
     if args.config is not None:
@@ -668,7 +653,6 @@ def _resolve_build_config(args: argparse.Namespace):
             ("backend", args.backend),
             ("order", args.order),
             ("core_backend", args.core_backend),
-            ("hopdb_order", args.hopdb_order),
             ("kernel", args.kernel),
         )
         if value is not None
@@ -1102,7 +1086,6 @@ def _cmd_scale_bench(args: argparse.Namespace) -> int:
         args.tiers,
         config=config,
         workers=args.workers,
-        hopdb_ablation=args.hopdb_ablation,
         max_n=args.max_n,
         output=output,
     )

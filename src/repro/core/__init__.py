@@ -6,7 +6,7 @@ from repro.core.bandwidth import (
     find_bandwidth,
 )
 from repro.core.construction import TreeIndex, build_core_index, build_tree_index
-from repro.core.ct_index import CTIndex, build_ct_index
+from repro.core.ct_index import CTIndex
 from repro.core.serialization import load_ct_index, save_ct_index
 from repro.core.validation import AuditReport, audit_ct_index
 
@@ -17,7 +17,6 @@ __all__ = [
     "CTIndex",
     "TreeIndex",
     "build_core_index",
-    "build_ct_index",
     "audit_ct_index",
     "build_tree_index",
     "find_bandwidth",

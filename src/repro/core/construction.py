@@ -250,8 +250,6 @@ def build_core_index(
     core_backend: str = "pll",
     workers: int | None = None,
     kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
-    hopdb_order: str = "degree",
     pool=None,
 ) -> tuple[PrunedLandmarkLabeling, list[int], dict[int, int]]:
     """2-hop labeling on the weighted reduced core graph ``G_{λ+1}`` (line 33).
@@ -259,21 +257,14 @@ def build_core_index(
     ``order`` selects the hub order: ``"degree"`` (the practical
     default, as in PSL) or ``"elimination"`` — the reverse of a continued
     MDE run over the core, the order behind the paper's Theorem 4.4
-    bound and the one its Figure 5 example uses.  ``"is"`` is accepted
-    for symmetry with :func:`construct`, where it selects independent-set
-    periphery elimination; the core hubs then use degree order (IS-LABEL
-    has no distinguished hub order of its own).  ``core_order=`` is the
-    deprecated pre-PR-4 spelling and maps onto ``order=`` with a
-    :class:`DeprecationWarning`.
+    bound and the one its Figure 5 example uses.
 
     ``core_backend`` selects the construction schedule — the paper's
     line 33 says "PLL (or PSL equivalently)".  ``"psl"`` uses the
     round-synchronous propagation when the core graph is unweighted
-    (d = 0, no fill-in shortcuts); ``"hopdb"`` the hop-doubling label
-    composition of :mod:`repro.labeling.hopdb` (also unweighted-only,
-    suited to scale-free cores).  Both fall back to pruned-Dijkstra PLL
-    on weighted cores, since their rounds count hops.  Every backend
-    builds the same canonical label sets, so the choice never changes a
+    (d = 0, no fill-in shortcuts) and falls back to pruned-Dijkstra PLL
+    on weighted cores, since its rounds count hops.  Both backends
+    build the same canonical label sets, so the choice never changes a
     fingerprint.
 
     ``kernel`` selects the construction path of the PLL and PSL
@@ -285,43 +276,22 @@ def build_core_index(
     :class:`~repro.parallel.shm.ShmBuildPool` passed as ``pool``
     (internal) is reused for vectorized multi-worker rounds.  PLL
     ignores both — a pruned search depends on every earlier root's
-    finished label, so PLL is inherently sequential — and hopdb ignores
-    all three, running its own composition loop.
+    finished label, so PLL is inherently sequential.
 
     The ``ct.core_labeling`` span records ``effective_backend``, the
     backend that actually ran, plus ``fallback="weighted core"`` when a
-    ``psl``/``hopdb`` request fell back to PLL.
-
-    ``hopdb_order`` tunes the hub order of the ``"hopdb"`` backend:
-    ``"degree"`` (the default; fingerprint-identical to the other
-    backends) or ``"psl-rank"`` (degree refined by neighbor degree
-    mass, :func:`repro.labeling.ordering.psl_rank_order`).  A non-degree
-    order changes which canonical label set is built — still an exact
-    2-hop cover, but no longer byte-identical to the degree-ordered
-    one, which is why the knob is hopdb-specific and exactness-gated
-    (BFS) rather than fingerprint-gated in the benches.
+    ``psl`` request fell back to PLL.
 
     Returns ``(core_labeling, originals, compact)``: the 2-hop index
     over the compacted core graph, the original node id per compact id,
     and the reverse map.
     """
-    from repro.deprecation import resolve_renamed_kwarg
-
-    order = resolve_renamed_kwarg("core_order", "order", core_order, order) or "degree"
-    if hopdb_order not in ("degree", "psl-rank"):
-        raise IndexConstructionError(
-            f"unknown hopdb_order {hopdb_order!r}; expected 'degree' or 'psl-rank'"
-        )
-    if hopdb_order != "degree" and core_backend != "hopdb":
-        raise IndexConstructionError(
-            f"hopdb_order={hopdb_order!r} tunes the hopdb backend; it cannot "
-            f"be combined with core_backend={core_backend!r}"
-        )
+    order = order or "degree"
     with obs_span(
         "ct.core_labeling", order=order, core_backend=core_backend
     ) as core_span:
         core_graph, originals = decomposition.core_graph()
-        if order in ("degree", "is"):
+        if order == "degree":
             hub_order = degree_order(core_graph)
         elif order == "elimination":
             from repro.treedec.elimination import minimum_degree_elimination
@@ -330,13 +300,11 @@ def build_core_index(
             hub_order = list(reversed(continued.eliminated_order()))
         else:
             raise IndexConstructionError(
-                f"unknown core order {order!r}; expected 'degree', "
-                f"'elimination', or 'is'"
+                f"unknown core order {order!r}; expected 'degree' or 'elimination'"
             )
-        if core_backend not in ("pll", "psl", "hopdb"):
+        if core_backend not in ("pll", "psl"):
             raise IndexConstructionError(
-                f"unknown core backend {core_backend!r}; expected 'pll', "
-                f"'psl', or 'hopdb'"
+                f"unknown core backend {core_backend!r}; expected 'pll' or 'psl'"
             )
         if core_backend != "pll" and not core_graph.unweighted:
             core_span.set(effective_backend="pll", fallback="weighted core")
@@ -358,16 +326,6 @@ def build_core_index(
             )
             labeling.build_seconds = psl.build_seconds
             labeling.round_stats = psl.round_stats
-        elif core_backend == "hopdb" and core_graph.unweighted:
-            from repro.labeling.hopdb import build_hopdb
-
-            if hopdb_order == "psl-rank":
-                from repro.labeling.ordering import psl_rank_order
-
-                hub_order = psl_rank_order(core_graph)
-            hop = build_hopdb(core_graph, hub_order, budget=budget)
-            labeling = PrunedLandmarkLabeling(core_graph, hop.labels, hop.order)
-            labeling.build_seconds = hop.build_seconds
         else:
             labeling = build_pll(core_graph, hub_order, budget=budget, kernel=kernel)
         if obs.tracing_enabled():
@@ -387,18 +345,11 @@ def construct(
     core_backend: str = "pll",
     workers: int | None = None,
     kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
-    hopdb_order: str = "degree",
 ) -> tuple[CoreTreeDecomposition, TreeIndex, PrunedLandmarkLabeling, list[int], dict[int, int], float]:
     """Run the full Algorithm 1 and return all the pieces plus build time.
 
-    ``order="is"`` swaps the periphery elimination from bounded MDE to
-    the IS-LABEL-style independent-set rounds of
-    :func:`repro.treedec.elimination.independent_set_elimination` (each
-    round eliminates a maximal independent set of low-degree nodes at
-    once); the core hubs then use degree order.  Any other ``order``
-    value keeps MDE and selects the core hub order as in
-    :func:`build_core_index`.
+    ``order`` selects the core hub order as in :func:`build_core_index`;
+    the periphery is always eliminated by bounded MDE.
 
     ``workers`` parallelizes the tree-index fan-out (and the core
     labeling when ``core_backend="psl"`` applies) and ``kernel`` selects
@@ -410,26 +361,14 @@ def construct(
     (:class:`repro.parallel.shm.ShmBuildPool`) is created here and
     reused by both the forest fan-out and the vectorized PSL rounds, so
     process spawn cost is paid once per build rather than once per
-    phase.  ``hopdb_order`` tunes the hopdb backend's hub order (see
-    :func:`build_core_index`).  ``core_order=`` is the deprecated
-    spelling of ``order=``.
+    phase.
     """
-    from repro.deprecation import resolve_renamed_kwarg
-
-    order = resolve_renamed_kwarg("core_order", "order", core_order, order) or "degree"
+    order = order or "degree"
     started = time.perf_counter()
     if budget is None:
         budget = MemoryBudget.unlimited()
     with obs_span("ct.decompose", n=graph.n, bandwidth=bandwidth, order=order):
-        if order == "is":
-            from repro.treedec.elimination import independent_set_elimination
-
-            elimination = independent_set_elimination(graph, bandwidth)
-            decomposition = core_tree_decomposition(
-                graph, bandwidth, elimination=elimination
-            )
-        else:
-            decomposition = core_tree_decomposition(graph, bandwidth)
+        decomposition = core_tree_decomposition(graph, bandwidth)
     from repro.kernels import numpy_available
     from repro.parallel.pool import resolve_workers
 
@@ -450,7 +389,6 @@ def construct(
             core_backend=core_backend,
             workers=workers,
             kernel=kernel,
-            hopdb_order=hopdb_order,
             pool=pool,
         )
     finally:

@@ -56,7 +56,7 @@ _UNRESOLVED = object()
 class CTIndex(DistanceIndex):
     """Core-Tree distance index over a graph.
 
-    Build with :meth:`CTIndex.build` (or :func:`build_ct_index`)::
+    Build with :meth:`CTIndex.build` (or :func:`repro.build`)::
 
         index = CTIndex.build(graph, bandwidth=20)
         index.distance(s, t)
@@ -129,8 +129,6 @@ class CTIndex(DistanceIndex):
         workers: int | None = None,
         backend: str = "dict",
         kernel: str = KERNEL_AUTO,
-        core_order: str | None = None,
-        hopdb_order: str = "degree",
     ) -> "CTIndex":
         """Construct a CT-Index (Algorithm 1).
 
@@ -160,16 +158,13 @@ class CTIndex(DistanceIndex):
             paper's "OM" outcome).
         order:
             Ordering strategy: ``"degree"`` (PSL's practical hub order,
-            the default when ``None``), ``"elimination"`` (the theory
-            order of Theorem 4.4 [2]), or ``"is"`` (IS-LABEL-style
-            independent-set periphery elimination; core hubs fall back
-            to degree order).
+            the default when ``None``) or ``"elimination"`` (the theory
+            order of Theorem 4.4 [2]).
         core_backend:
-            ``"pll"`` (pruned searches), ``"psl"`` (round-synchronous
-            propagation where applicable), or ``"hopdb"`` (hop-doubling
-            label composition for scale-free cores) — all build the
-            same canonical labels; the paper's line 33 treats the
-            backends as interchangeable.
+            ``"pll"`` (pruned searches) or ``"psl"`` (round-synchronous
+            propagation where applicable) — both build the same
+            canonical labels; the paper's line 33 treats the backends
+            as interchangeable.
         extension_cache_size:
             Bound on the per-position extension-label LRU used by
             Case-3/4 queries; ``0`` disables the cache (every query
@@ -183,12 +178,6 @@ class CTIndex(DistanceIndex):
             that drives both the forest fan-out and the vectorized PSL
             rounds; without NumPy the pickled-snapshot forest pool is
             used and PSL rounds fan out per round.
-        hopdb_order:
-            Hub order of the ``"hopdb"`` core backend: ``"degree"``
-            (default) or ``"psl-rank"`` (degree refined by neighbor
-            degree mass).  Exact either way, but ``"psl-rank"`` changes
-            which canonical label set is built, so it is rejected for
-            other backends to keep their fingerprints stable.
         backend:
             Label storage of the returned index: ``"dict"`` (mutable
             per-node containers) or ``"flat"`` (the CSR arrays of
@@ -203,13 +192,9 @@ class CTIndex(DistanceIndex):
             :class:`~repro.exceptions.ConfigurationError` when NumPy is
             missing or ``backend`` is not ``"flat"``), or ``"python"``
             (always the interpreter paths).  Never changes an answer.
-        core_order:
-            Deprecated spelling of ``order=`` (kept one release; warns
-            with :class:`DeprecationWarning`).
         """
-        from repro.deprecation import resolve_config_kwargs, resolve_renamed_kwarg
+        from repro.api import resolve_config_kwargs
 
-        order = resolve_renamed_kwarg("core_order", "order", core_order, order)
         if bandwidth is None and config is None:
             raise ConfigurationError(
                 "bandwidth is required (pass it directly or via config=)"
@@ -226,7 +211,6 @@ class CTIndex(DistanceIndex):
                 "use_equivalence_reduction": True,
                 "extension_cache_size": 256,
                 "kernel": KERNEL_AUTO,
-                "hopdb_order": "degree",
             }
             passed = {
                 "workers": workers,
@@ -236,7 +220,6 @@ class CTIndex(DistanceIndex):
                 "use_equivalence_reduction": use_equivalence_reduction,
                 "extension_cache_size": extension_cache_size,
                 "kernel": kernel,
-                "hopdb_order": hopdb_order,
             }
             explicit = {k: v for k, v in passed.items() if v != defaults[k]}
             if bandwidth is not None:
@@ -250,7 +233,6 @@ class CTIndex(DistanceIndex):
             use_equivalence_reduction = resolved.use_equivalence_reduction
             extension_cache_size = resolved.extension_cache_size
             kernel = resolved.kernel
-            hopdb_order = resolved.hopdb_order
         validate_backend(backend)
         # Fail fast on an unsatisfiable kernel request (numpy missing,
         # or kernel='numpy' on the dict backend).
@@ -277,7 +259,6 @@ class CTIndex(DistanceIndex):
                 core_backend=core_backend,
                 workers=workers,
                 kernel=kernel,
-                hopdb_order=hopdb_order,
             )
             del decomposition  # reachable through tree_index
             index = cls(
@@ -738,34 +719,3 @@ def _dict_intersection(map_a: dict[int, Weight], map_b: dict[int, Weight]) -> We
             best = da + db
     return best
 
-
-def build_ct_index(
-    graph: Graph,
-    bandwidth: int | None = None,
-    *,
-    config: object | None = None,
-    use_equivalence_reduction: bool = True,
-    budget: MemoryBudget | None = None,
-    order: str | None = None,
-    core_backend: str = "pll",
-    extension_cache_size: int = 256,
-    workers: int | None = None,
-    backend: str = "dict",
-    kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
-) -> CTIndex:
-    """Functional alias of :meth:`CTIndex.build` (same keywords)."""
-    return CTIndex.build(
-        graph,
-        bandwidth,
-        config=config,
-        use_equivalence_reduction=use_equivalence_reduction,
-        budget=budget,
-        order=order,
-        core_backend=core_backend,
-        extension_cache_size=extension_cache_size,
-        workers=workers,
-        backend=backend,
-        kernel=kernel,
-        core_order=core_order,
-    )

@@ -47,29 +47,6 @@ def elimination_based_order(graph: Graph) -> list[int]:
     return list(reversed(result.eliminated_order()))
 
 
-def psl_rank_order(graph: Graph) -> list[int]:
-    """Degree order refined by total neighbor degree (ties by node id).
-
-    On scale-free cores plain degree order leaves large plateaus of
-    equal-degree nodes whose relative rank is decided by node id — an
-    arbitrary choice that hop-doubling composition is sensitive to (its
-    per-round candidate mass tracks how early the true connectors become
-    hubs).  Breaking those ties toward nodes whose *neighborhoods* carry
-    more edge mass is a one-pass 2-hop centrality proxy: same O(m) cost
-    as degree order, no distance computations, still deterministic.
-    Exactness is unaffected — any hub order yields a correct canonical
-    2-hop cover — so the knob only moves construction cost and label
-    size (``hopdb_order="psl-rank"``; the scale-bench ablation measures
-    whether it closes the rmat gap vs in-process PSL).
-    """
-    neighbor_mass = {
-        v: sum(graph.degree(u) for u in graph.neighbor_ids(v)) for v in graph.nodes()
-    }
-    return sorted(
-        graph.nodes(), key=lambda v: (-graph.degree(v), -neighbor_mass[v], v)
-    )
-
-
 def random_order(graph: Graph, seed: int) -> list[int]:
     """Uniform random order (control / stress testing)."""
     order = list(graph.nodes())
@@ -87,7 +64,6 @@ ORDER_STRATEGIES = {
     "degree": degree_order,
     "degeneracy": degeneracy_based_order,
     "elimination": elimination_based_order,
-    "psl-rank": psl_rank_order,
 }
 
 

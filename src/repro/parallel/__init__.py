@@ -17,7 +17,7 @@ byte-identical to a serial build:
 * :mod:`repro.parallel.chunking` / :mod:`repro.parallel.pool` — the
   deterministic partitioning and pool plumbing both share.
 
-Entry points: ``build_ct_index(graph, d, workers=N)``,
+Entry points: ``repro.build(graph, d, workers=N)``,
 ``build_psl(graph, workers=N)``, and ``repro build --workers N`` on the
 command line.  ``workers=0`` means one worker per CPU.
 """

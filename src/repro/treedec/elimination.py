@@ -419,90 +419,6 @@ def minimum_degree_elimination(
     return result
 
 
-def independent_set_elimination(
-    graph: Graph,
-    bandwidth: int,
-) -> EliminationResult:
-    """Round-based independent-set elimination (IS-LABEL style).
-
-    Instead of MDE's one-at-a-time minimum-degree removal, each round
-    selects a maximal *independent set* of live nodes whose current
-    degree is at most ``bandwidth`` and eliminates all of them.  Members
-    of an independent set are pairwise non-adjacent, so eliminating one
-    member never touches another member's neighborhood, recorded wedge
-    weights, or fill edges — simultaneous elimination is equivalent to
-    sequential elimination in *any* intra-round order.  The rounds are
-    therefore emitted as ordinary sequential bags (ascending node id
-    within a round, the canonical order), and the
-    result satisfies every invariant
-    :meth:`~repro.treedec.core_tree.CoreTreeDecomposition.validate`
-    checks: bags have at most ``bandwidth`` neighbors, and a bag's
-    surviving neighbors are always eliminated strictly later.
-
-    The selection is greedy by ``(degree, node id)`` per round, which
-    keeps the result deterministic.  Rounds where every member is
-    independent are what make this order parallel-friendly on huge
-    peripheries (the IS-LABEL construction); the trade-off against MDE
-    is a possibly different (usually slightly larger) boundary for the
-    same bandwidth, since low-degree nodes blocked by a picked neighbor
-    wait for the next round while MDE would interleave them freely.
-    """
-    if bandwidth is None or bandwidth < 0:
-        raise DecompositionError(f"bandwidth must be non-negative, got {bandwidth}")
-
-    adjacency: list[dict[int, Weight] | None] = [
-        dict(graph.neighbors(v)) for v in graph.nodes()
-    ]
-    bags = _BagWriter(graph.n)
-    rounds = 0
-
-    with obs_span(
-        "treedec.is_elim", n=graph.n, m=graph.m, bandwidth=bandwidth
-    ) as is_span:
-        live = set(graph.nodes())
-        while True:
-            # Greedy maximal IS over live nodes with degree <= bandwidth,
-            # scanned in ascending (degree, id) order.
-            candidates = sorted(
-                (len(adjacency[v]), v)  # type: ignore[arg-type]
-                for v in live
-                if len(adjacency[v]) <= bandwidth  # type: ignore[arg-type]
-            )
-            blocked: set[int] = set()
-            picked: list[int] = []
-            for _, v in candidates:
-                if v in blocked:
-                    continue
-                picked.append(v)
-                blocked.update(adjacency[v])  # type: ignore[arg-type]
-            if not picked:
-                break
-            rounds += 1
-            # Canonical intra-round order (any order yields the same
-            # bags; ascending id keeps the output deterministic).  IS
-            # members are non-adjacent, so eliminating one never touches
-            # another's row.
-            for v in sorted(picked):
-                row = adjacency[v]
-                assert row is not None
-                _eliminate(adjacency, v, bags.append(v, row), row)
-                live.discard(v)
-
-        result = bags.result(graph, adjacency, bandwidth)
-        if obs.tracing_enabled():
-            is_span.set(
-                boundary=result.boundary,
-                core=len(result.core_nodes),
-                rounds=rounds,
-                width=result.width,
-            )
-    if obs.enabled():
-        metrics = obs.registry()
-        metrics.counter("is_elim.rounds").inc(rounds)
-        metrics.counter("is_elim.eliminations").inc(result.boundary)
-    return result
-
-
 def elimination_width_profile(graph: Graph) -> list[int]:
     """``|N_i|`` per elimination round of a full MDE run.
 

@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.api import BuildConfig
-from repro.core.ct_index import CTIndex, build_ct_index
+from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
 from repro.exceptions import ConfigurationError
 from repro.graphs.generators.random_graphs import connected_gnp_graph
@@ -34,9 +34,10 @@ class TestValidation:
             {"use_equivalence_reduction": 1},
             {"extension_cache_size": -1},
             {"kernel": "gpu"},
-            {"hopdb_order": "random"},
-            {"hopdb_order": "psl-rank"},  # requires core_backend="hopdb"
-            {"hopdb_order": "psl-rank", "core_backend": "psl"},
+            # Removed construction paths must be rejected, never ignored.
+            {"core_backend": "hopdb"},
+            {"core_backend": "hopdb", "bandwidth": 0},
+            {"order": "is"},
         ],
     )
     def test_bad_values_raise_eagerly(self, bad):
@@ -49,11 +50,6 @@ class TestValidation:
         assert config.backend == "dict"
         assert config.core_backend == "pll"
         assert config.kernel == "auto"
-        assert config.hopdb_order == "degree"
-
-    def test_psl_rank_valid_with_hopdb_backend(self):
-        config = BuildConfig(core_backend="hopdb", hopdb_order="psl-rank")
-        assert config.hopdb_order == "psl-rank"
 
     def test_replace_revalidates(self):
         config = BuildConfig()
@@ -81,13 +77,14 @@ class TestRoundTrip:
             "use_equivalence_reduction",
             "extension_cache_size",
             "kernel",
-            "hopdb_order",
         ]
         assert BuildConfig.from_dict(json.loads(json.dumps(doc))) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown BuildConfig keys"):
             BuildConfig.from_dict({"bandwidth": 4, "bandwith": 5})
+        with pytest.raises(ConfigurationError, match="hopdb_order"):
+            BuildConfig.from_dict({"bandwidth": 4, "hopdb_order": "degree"})
 
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ConfigurationError):
@@ -104,11 +101,9 @@ class TestBuildMerge:
         by_kwargs = repro.build(graph, 4, backend="flat", core_backend="psl")
         by_config = repro.build(graph, config=config)
         by_method = CTIndex.build(graph, config=config)
-        by_alias = build_ct_index(graph, config=config)
         reference = index_fingerprint(by_kwargs)
         assert index_fingerprint(by_config) == reference
         assert index_fingerprint(by_method) == reference
-        assert index_fingerprint(by_alias) == reference
 
     def test_agreeing_redundant_spellings_are_fine(self, graph):
         config = BuildConfig(bandwidth=4, backend="flat")
@@ -124,7 +119,13 @@ class TestBuildMerge:
         with pytest.raises(ConfigurationError, match="conflict"):
             CTIndex.build(graph, 5, config=config)
         with pytest.raises(ConfigurationError, match="conflict"):
-            CTIndex.build(graph, config=config, core_backend="hopdb")
+            CTIndex.build(graph, config=config, core_backend="psl")
+
+    def test_removed_kwargs_raise_type_error(self, graph):
+        with pytest.raises(TypeError, match="hopdb_order"):
+            repro.build(graph, 4, hopdb_order="degree")
+        with pytest.raises(TypeError, match="core_order"):
+            CTIndex.build(graph, 4, core_order="degree")
 
     def test_bandwidth_required_without_config(self, graph):
         with pytest.raises(ConfigurationError, match="bandwidth"):
@@ -139,3 +140,4 @@ class TestBuildMerge:
     def test_exported_from_the_facade(self):
         assert repro.BuildConfig is BuildConfig
         assert "BuildConfig" in repro.__all__
+

@@ -1,15 +1,13 @@
-"""The stable ``repro.api`` facade: parity, round-trips, shims, surface."""
+"""The stable ``repro.api`` facade: parity, round-trips, surface."""
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.core.ct_index import CTIndex, build_ct_index
-from repro.core.construction import build_core_index, construct
+from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
 from repro.exceptions import ConfigurationError
 from repro.graphs.generators.core_periphery import (
@@ -17,7 +15,6 @@ from repro.graphs.generators.core_periphery import (
     core_periphery_graph,
 )
 from repro.graphs.traversal import all_pairs_distances
-from repro.treedec.core_tree import core_tree_decomposition
 
 
 @pytest.fixture(scope="module")
@@ -88,44 +85,6 @@ class TestRoundTrip:
         # Also catchable as ValueError (the pre-facade discipline).
         with pytest.raises(ValueError):
             repro.save(index, tmp_path / "x", format="pickle")
-
-
-class TestDeprecatedKwargs:
-    def test_core_order_still_works_with_a_warning(self, setup):
-        graph, _ = setup
-        reference = index_fingerprint(CTIndex.build(graph, 4, order="elimination"))
-        with pytest.warns(DeprecationWarning, match="core_order"):
-            index = CTIndex.build(graph, 4, core_order="elimination")
-        assert index_fingerprint(index) == reference
-
-    def test_build_ct_index_alias_shim(self, setup):
-        graph, _ = setup
-        with pytest.warns(DeprecationWarning, match="core_order"):
-            index = build_ct_index(graph, 4, core_order="degree")
-        assert index_fingerprint(index) == index_fingerprint(
-            build_ct_index(graph, 4, order="degree")
-        )
-
-    def test_construct_and_build_core_index_shims(self, setup):
-        graph, _ = setup
-        with pytest.warns(DeprecationWarning, match="core_order"):
-            construct(graph, 4, core_order="degree")
-        decomposition = core_tree_decomposition(graph, 4)
-        with pytest.warns(DeprecationWarning, match="core_order"):
-            core_new = build_core_index(decomposition, core_order="degree")
-        assert core_new is not None
-
-    def test_conflicting_spellings_raise(self, setup):
-        graph, _ = setup
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                CTIndex.build(graph, 4, order="degree", core_order="elimination")
-
-    def test_new_spelling_does_not_warn(self, setup):
-        graph, _ = setup
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            CTIndex.build(graph, 4, order="degree")
 
 
 class TestSurface:

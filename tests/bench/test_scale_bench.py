@@ -91,19 +91,6 @@ class TestSchema2:
         assert entries[1]["config"]["workers"] == 2
         assert "speedup" in text
 
-    def test_hopdb_ablation_appends_gated_pair(self):
-        entries, _ = run_scale_bench(["cp-1k"], hopdb_ablation=True, output=None)
-        ablation = [e for e in entries if e.get("ablation") == "hopdb_order"]
-        assert len(ablation) == 2
-        degree, psl_rank = ablation
-        assert degree["config"]["hopdb_order"] == "degree"
-        assert degree["verify"]["mode"] == "fingerprint"
-        assert psl_rank["config"]["hopdb_order"] == "psl-rank"
-        # A non-degree hub order legitimately changes the bytes, so the
-        # gate must be exactness (BFS), never fingerprint identity.
-        assert psl_rank["verify"]["mode"] == "bfs"
-        assert psl_rank["verify"]["identical"] is True
-
     def test_schema1_history_upgrades_on_append(self, tmp_path):
         out = tmp_path / "BENCH_scale.json"
         legacy_entry = {

@@ -100,6 +100,21 @@ class TestBuildConfigFlag:
         )
         assert code != 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--core-backend", "hopdb"],
+            ["--order", "is"],
+            ["--hopdb-order", "degree"],
+        ],
+    )
+    def test_removed_build_flags_exit_2(self, edge_file, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["build", str(edge_file), "-d", "3", "-o", str(tmp_path / "x.idx"), *flags]
+            )
+        assert excinfo.value.code == 2
+
     def test_chunked_loader_builds_the_same_index(self, edge_file, tmp_path):
         plain = tmp_path / "a.idx"
         chunked = tmp_path / "b.idx"
@@ -127,6 +142,11 @@ class TestScaleBenchCommand:
         assert "recorded 1 entries" in printed
         document = json.loads(out.read_text())
         assert document["entries"][0]["verify"]["identical"] is True
+
+    def test_hopdb_ablation_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale-bench", "--tiers", "cp-1k", "--hopdb-ablation", "-o", "-"])
+        assert excinfo.value.code == 2
 
     def test_dash_output_skips_recording(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

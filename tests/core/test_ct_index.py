@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ct_index import CTIndex, build_ct_index
+import repro
+from repro.core.ct_index import CTIndex
 from repro.exceptions import OverMemoryError, QueryError
 from repro.graphs.generators.core_periphery import CorePeripheryConfig, core_periphery_graph
 from repro.graphs.generators.primitives import clique_graph, path_graph, star_graph
@@ -48,7 +49,7 @@ class TestPaperQueries:
         # L_ext(v6) = {v10: 2, v11: 3, v12: 3}.  Figure 5's core labels
         # come from the elimination-based hub order (v12 > v11 > ...).
         index = CTIndex.build(
-            paper_graph, 2, use_equivalence_reduction=False, core_order="elimination"
+            paper_graph, 2, use_equivalence_reduction=False, order="elimination"
         )
         pos6 = index.decomposition.position[5]
         extended = index._extended_labels(pos6)
@@ -62,7 +63,7 @@ class TestPaperQueries:
     def test_figure_5_core_labels(self, paper_graph):
         # The core index of Figure 5, hub order v12 > v11 > v10 > v9.
         index = CTIndex.build(
-            paper_graph, 2, use_equivalence_reduction=False, core_order="elimination"
+            paper_graph, 2, use_equivalence_reduction=False, order="elimination"
         )
         compact = index._core_compact
         labels = index.core_index.labels
@@ -172,7 +173,7 @@ class TestApi:
 
     def test_build_ct_index_alias(self):
         g = path_graph(5)
-        assert build_ct_index(g, 2).distance(0, 4) == 4
+        assert repro.build(g, 2).distance(0, 4) == 4
 
     def test_budget_overflow(self):
         g = gnp_graph(60, 0.25, seed=9)

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core.ct_index import CTIndex, build_ct_index
+import repro
+from repro.core.ct_index import CTIndex
 from repro.exceptions import QueryError
 from repro.graphs.generators.core_periphery import (
     CorePeripheryConfig,
@@ -115,14 +116,14 @@ class TestSatelliteBugfixes:
                 index.distance(s, t)
 
     def test_build_ct_index_forwards_core_kwargs(self):
-        """Regression: the functional alias silently dropped core_order
-        and core_backend."""
+        """Regression: the functional build once silently dropped the
+        core order and core_backend."""
         g = gnp_graph(30, 0.15, seed=21)
-        via_alias = build_ct_index(
-            g, 3, core_order="elimination", core_backend="pll", extension_cache_size=7
+        via_alias = repro.build(
+            g, 3, order="elimination", core_backend="pll", extension_cache_size=7
         )
-        via_method = CTIndex.build(g, 3, core_order="elimination", core_backend="pll")
-        degree_build = CTIndex.build(g, 3, core_order="degree")
+        via_method = CTIndex.build(g, 3, order="elimination", core_backend="pll")
+        degree_build = CTIndex.build(g, 3, order="degree")
         assert via_alias.core_index.order == via_method.core_index.order
         if degree_build.core_index.order != via_method.core_index.order:
             # The kwarg demonstrably reached the builder.
@@ -135,7 +136,7 @@ class TestSatelliteBugfixes:
 
     def test_build_ct_index_psl_backend(self):
         g = gnp_graph(30, 0.15, seed=22)
-        index = build_ct_index(g, 3, core_backend="psl")
+        index = repro.build(g, 3, core_backend="psl")
         truth = all_pairs_distances(g)
         for t in range(g.n):
             assert index.distance(0, t) == truth[0][t]

@@ -285,7 +285,7 @@ class TestObservability:
         assert [s.attrs["kernel"] for s in spans] == ["numpy", "python"]
         assert all("fallback" not in s.attrs for s in spans)
 
-    @pytest.mark.parametrize("core_backend", ["psl", "hopdb"])
+    @pytest.mark.parametrize("core_backend", ["psl"])
     def test_weighted_core_fallback_is_recorded(self, core_backend):
         g = rmat_graph(10, 4, 3)
         with capture() as tracer:

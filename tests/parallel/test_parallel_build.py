@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.construction import build_tree_index
-from repro.core.ct_index import CTIndex, build_ct_index
+from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
 from repro.graphs.generators.core_periphery import (
     CorePeripheryConfig,
@@ -88,13 +88,13 @@ class TestParallelCTIndex:
         assert index_fingerprint(parallel) == index_fingerprint(serial)
 
     def test_byte_identical_with_psl_core(self, cp_graph):
-        serial = build_ct_index(cp_graph, 0, core_backend="psl")
-        parallel = build_ct_index(cp_graph, 0, core_backend="psl", workers=2)
+        serial = CTIndex.build(cp_graph, 0, core_backend="psl")
+        parallel = CTIndex.build(cp_graph, 0, core_backend="psl", workers=2)
         assert index_fingerprint(parallel) == index_fingerprint(serial)
 
     def test_parallel_answers_exact(self):
         graph = gnp_graph(50, 0.1, seed=31)
-        index = build_ct_index(graph, 3, workers=2)
+        index = CTIndex.build(graph, 3, workers=2)
         truth = all_pairs_distances(graph)
         for s in range(graph.n):
             for t in range(graph.n):

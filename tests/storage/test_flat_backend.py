@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ct_index import CTIndex, build_ct_index
+import repro
+from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
 from repro.exceptions import IndexConstructionError
 from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
@@ -71,7 +72,7 @@ class TestBackendArgument:
         assert_answers(index, graph, truth)
 
     def test_build_ct_index_passthrough(self, graph):
-        index = build_ct_index(graph, 4, backend="flat")
+        index = repro.build(graph, 4, backend="flat")
         assert index.storage_backend == "flat"
 
 
