@@ -26,7 +26,7 @@ Every tier is **gated on correctness before anything is written**:
 A tier that fails its gate raises :class:`~repro.exceptions.ReproError`
 and the run records nothing: a fast wrong build must never become a
 benchmark data point.  The artifact embeds the full
-:meth:`~repro.api.BuildConfig.to_dict` document per entry, so every
+:meth:`~repro.core.config.BuildConfig.to_dict` document per entry, so every
 recorded number names the exact configuration that produced it.
 
 The community size ceilings in the core-periphery tiers sit near the
@@ -43,7 +43,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.api import BuildConfig
+from repro.core.config import BuildConfig
 from repro.bench.reporting import format_table
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint

@@ -40,13 +40,17 @@ arguments (argparse convention).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from collections.abc import Sequence
 
+from repro.core.config import CORE_ORDERS
 from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.graphs.graph import INF
+from repro.kernels import KERNEL_NAMES
+from repro.labeling.base import HUB_BUILDERS, LABEL_BACKENDS
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -97,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bandwidth",
         type=int,
         default=None,
-        help="the paper's d (default 20; required here or in --config)",
+        help="the paper's d (default: the --config document's, else 20)",
     )
     p_build.add_argument("-o", "--output", required=True, help="where to save the index")
     p_build.add_argument(
@@ -112,26 +116,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--backend",
-        choices=("dict", "flat"),
+        choices=LABEL_BACKENDS,
         default=None,
         help="label storage of the built index: mutable dicts or CSR arrays "
         "(identical answers; flat is smaller in memory; default dict)",
     )
     p_build.add_argument(
         "--order",
-        choices=("degree", "elimination"),
+        choices=CORE_ORDERS,
         default=None,
         help="core hub order: degree (default) or elimination (theory order)",
     )
     p_build.add_argument(
         "--core-backend",
-        choices=("pll", "psl"),
+        choices=HUB_BUILDERS,
         default=None,
         help="core labeling algorithm (identical labels; default pll)",
     )
     p_build.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default=None,
         help="NumPy vs pure-Python kernels for queries and vectorized "
         "construction (identical answers; default auto)",
@@ -228,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default=None,
         help="query kernel of the served index (default: index default)",
     )
@@ -292,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default="auto",
         help="query kernel of the served index; 'numpy' builds the flat "
         "backend and requires the repro[fast] extra (default auto)",
@@ -323,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_svbench.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default=None,
         help="query kernel of the served index (default: index default)",
     )
@@ -474,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fbench.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default=None,
         help="query kernel of every worker engine (default: index default)",
     )
@@ -496,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obench.add_argument("--queries", type=int, default=2000)
     p_obench.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "python"),
+        choices=KERNEL_NAMES,
         default="auto",
         help="query kernel of the measured index (default auto)",
     )
@@ -634,34 +638,32 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _resolve_build_config(args: argparse.Namespace):
     """Merge ``--config`` with explicit build flags into one BuildConfig.
 
-    Flags default to ``None`` (= not passed) so only knobs the user
-    actually spelled out participate; a flag that disagrees with the
-    config document raises ConfigurationError (see
-    :func:`repro.api.resolve_config_kwargs`).
+    Each flag's ``dest`` is the ``BuildConfig`` field it sets.  Flags
+    default to ``None`` (= not passed) so only knobs the user actually
+    spelled out participate; a flag that disagrees with the config
+    document raises ConfigurationError (see
+    :func:`repro.core.config.resolve_build_config`).  Without either,
+    ``-d`` defaults to ``BuildConfig``'s bandwidth.
     """
-    from repro.api import BuildConfig, resolve_config_kwargs
+    from repro.core.config import BuildConfig, resolve_build_config
 
     config = None
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = BuildConfig.from_dict(json.load(handle))
     explicit = {
-        name: value
-        for name, value in (
-            ("bandwidth", args.bandwidth),
-            ("workers", args.workers),
-            ("backend", args.backend),
-            ("order", args.order),
-            ("core_backend", args.core_backend),
-            ("kernel", args.kernel),
-        )
-        if value is not None
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(BuildConfig)
+        if getattr(args, field.name, None) is not None
     }
     # store_true flags can't distinguish default from explicit False, so
     # --no-reduction only participates when actually raised.
     if args.no_reduction:
         explicit["use_equivalence_reduction"] = False
-    return resolve_config_kwargs(config, explicit)
+    bandwidth = explicit.pop("bandwidth", None)
+    if bandwidth is None and config is None:
+        bandwidth = BuildConfig.bandwidth
+    return resolve_build_config(bandwidth, config, explicit)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -1074,7 +1076,7 @@ def _cmd_storage_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale_bench(args: argparse.Namespace) -> int:
-    from repro.api import BuildConfig
+    from repro.core.config import BuildConfig
     from repro.bench.scale_bench import DEFAULT_CONFIG, run_scale_bench
 
     config = DEFAULT_CONFIG

@@ -5,6 +5,7 @@ from repro.core.bandwidth import (
     BandwidthSearchResult,
     find_bandwidth,
 )
+from repro.core.config import BuildConfig
 from repro.core.construction import TreeIndex, build_core_index, build_tree_index
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import load_ct_index, save_ct_index
@@ -14,6 +15,7 @@ __all__ = [
     "AuditReport",
     "BandwidthProbe",
     "BandwidthSearchResult",
+    "BuildConfig",
     "CTIndex",
     "TreeIndex",
     "build_core_index",

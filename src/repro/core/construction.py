@@ -26,9 +26,9 @@ import logging
 import time
 
 import repro.obs as obs
+from repro.core.config import CORE_ORDERS, BuildConfig
 from repro.exceptions import IndexConstructionError
 from repro.graphs.graph import INF, Graph, Weight
-from repro.kernels import KERNEL_AUTO
 from repro.labeling.base import MemoryBudget
 from repro.labeling.ordering import degree_order
 from repro.labeling.pll import PrunedLandmarkLabeling, build_pll
@@ -36,6 +36,9 @@ from repro.obs.tracing import span as obs_span
 from repro.treedec.core_tree import CoreTreeDecomposition, core_tree_decomposition
 
 logger = logging.getLogger(__name__)
+
+#: The configuration :func:`build_core_index` falls back to.
+_DEFAULTS = BuildConfig()
 
 
 class TreeIndex:
@@ -244,34 +247,33 @@ def _iter_missing(
 
 def build_core_index(
     decomposition: CoreTreeDecomposition,
+    config: BuildConfig = _DEFAULTS,
     *,
     budget: MemoryBudget | None = None,
-    order: str | None = None,
-    core_backend: str = "pll",
-    workers: int | None = None,
-    kernel: str = KERNEL_AUTO,
     pool=None,
 ) -> tuple[PrunedLandmarkLabeling, list[int], dict[int, int]]:
     """2-hop labeling on the weighted reduced core graph ``G_{λ+1}`` (line 33).
 
-    ``order`` selects the hub order: ``"degree"`` (the practical
-    default, as in PSL) or ``"elimination"`` — the reverse of a continued
-    MDE run over the core, the order behind the paper's Theorem 4.4
-    bound and the one its Figure 5 example uses.
+    ``config`` is already resolved (see
+    :func:`~repro.core.config.resolve_build_config`); four of its knobs
+    apply here.  ``config.order`` selects the hub order: ``"degree"``
+    (the practical default, as in PSL) or ``"elimination"`` — the
+    reverse of a continued MDE run over the core, the order behind the
+    paper's Theorem 4.4 bound and the one its Figure 5 example uses.
 
-    ``core_backend`` selects the construction schedule — the paper's
-    line 33 says "PLL (or PSL equivalently)".  ``"psl"`` uses the
-    round-synchronous propagation when the core graph is unweighted
+    ``config.core_backend`` selects the construction schedule — the
+    paper's line 33 says "PLL (or PSL equivalently)".  ``"psl"`` uses
+    the round-synchronous propagation when the core graph is unweighted
     (d = 0, no fill-in shortcuts) and falls back to pruned-Dijkstra PLL
     on weighted cores, since its rounds count hops.  Both backends
     build the same canonical label sets, so the choice never changes a
     fingerprint.
 
-    ``kernel`` selects the construction path of the PLL and PSL
+    ``config.kernel`` selects the construction path of the PLL and PSL
     backends — vectorized (:mod:`repro.kernels.pruned_search`,
     :mod:`repro.kernels.psl_rounds`) or pure Python; see
-    :func:`~repro.labeling.pll.build_pll`.  ``workers`` fans the PSL
-    backend's rounds out over worker processes (see
+    :func:`~repro.labeling.pll.build_pll`.  ``config.workers`` fans the
+    PSL backend's rounds out over worker processes (see
     :mod:`repro.parallel`), and a live
     :class:`~repro.parallel.shm.ShmBuildPool` passed as ``pool``
     (internal) is reused for vectorized multi-worker rounds.  PLL
@@ -286,26 +288,19 @@ def build_core_index(
     over the compacted core graph, the original node id per compact id,
     and the reverse map.
     """
-    order = order or "degree"
+    order = config.order or CORE_ORDERS[0]
+    core_backend = config.core_backend
     with obs_span(
         "ct.core_labeling", order=order, core_backend=core_backend
     ) as core_span:
         core_graph, originals = decomposition.core_graph()
-        if order == "degree":
-            hub_order = degree_order(core_graph)
-        elif order == "elimination":
+        if order == "elimination":
             from repro.treedec.elimination import minimum_degree_elimination
 
             continued = minimum_degree_elimination(core_graph, bandwidth=None)
             hub_order = list(reversed(continued.eliminated_order()))
         else:
-            raise IndexConstructionError(
-                f"unknown core order {order!r}; expected 'degree' or 'elimination'"
-            )
-        if core_backend not in ("pll", "psl"):
-            raise IndexConstructionError(
-                f"unknown core backend {core_backend!r}; expected 'pll' or 'psl'"
-            )
+            hub_order = degree_order(core_graph)
         if core_backend != "pll" and not core_graph.unweighted:
             core_span.set(effective_backend="pll", fallback="weighted core")
         else:
@@ -317,8 +312,8 @@ def build_core_index(
                 core_graph,
                 hub_order,
                 budget=budget,
-                workers=workers,
-                kernel=kernel,
+                workers=config.workers,
+                kernel=config.kernel,
                 pool=pool,
             )
             labeling = PrunedLandmarkLabeling(
@@ -327,7 +322,9 @@ def build_core_index(
             labeling.build_seconds = psl.build_seconds
             labeling.round_stats = psl.round_stats
         else:
-            labeling = build_pll(core_graph, hub_order, budget=budget, kernel=kernel)
+            labeling = build_pll(
+                core_graph, hub_order, budget=budget, kernel=config.kernel
+            )
         if obs.tracing_enabled():
             core_span.set(core_n=core_graph.n, entries=labeling.size_entries())
     if obs.enabled():
@@ -338,24 +335,22 @@ def build_core_index(
 
 def construct(
     graph: Graph,
-    bandwidth: int,
+    config: BuildConfig,
     *,
     budget: MemoryBudget | None = None,
-    order: str | None = None,
-    core_backend: str = "pll",
-    workers: int | None = None,
-    kernel: str = KERNEL_AUTO,
 ) -> tuple[CoreTreeDecomposition, TreeIndex, PrunedLandmarkLabeling, list[int], dict[int, int], float]:
     """Run the full Algorithm 1 and return all the pieces plus build time.
 
-    ``order`` selects the core hub order as in :func:`build_core_index`;
-    the periphery is always eliminated by bounded MDE.
+    ``config`` is already resolved (see
+    :func:`~repro.core.config.resolve_build_config`).  ``config.order``
+    selects the core hub order as in :func:`build_core_index`; the
+    periphery is always eliminated by bounded MDE.
 
-    ``workers`` parallelizes the tree-index fan-out (and the core
-    labeling when ``core_backend="psl"`` applies) and ``kernel`` selects
-    the core labeling's construction path (vectorized PLL searches or
-    PSL rounds vs pure Python), without changing any label — the
-    decomposition itself stays sequential, as each elimination step
+    ``config.workers`` parallelizes the tree-index fan-out (and the core
+    labeling when ``core_backend="psl"`` applies) and ``config.kernel``
+    selects the core labeling's construction path (vectorized PLL
+    searches or PSL rounds vs pure Python), without changing any label —
+    the decomposition itself stays sequential, as each elimination step
     depends on the fill-in of the previous one.  When ``workers > 1``
     and NumPy is importable, one shared-memory worker pool
     (:class:`repro.parallel.shm.ShmBuildPool`) is created here and
@@ -363,16 +358,21 @@ def construct(
     process spawn cost is paid once per build rather than once per
     phase.
     """
-    order = order or "degree"
+    bandwidth = config.bandwidth
     started = time.perf_counter()
     if budget is None:
         budget = MemoryBudget.unlimited()
-    with obs_span("ct.decompose", n=graph.n, bandwidth=bandwidth, order=order):
+    with obs_span(
+        "ct.decompose",
+        n=graph.n,
+        bandwidth=bandwidth,
+        order=config.order or CORE_ORDERS[0],
+    ):
         decomposition = core_tree_decomposition(graph, bandwidth)
     from repro.kernels import numpy_available
     from repro.parallel.pool import resolve_workers
 
-    worker_count = resolve_workers(workers)
+    worker_count = resolve_workers(config.workers)
     pool = None
     if worker_count > 1 and numpy_available():
         from repro.parallel.shm import ShmBuildPool
@@ -380,16 +380,10 @@ def construct(
         pool = ShmBuildPool(worker_count)
     try:
         tree_index = build_tree_index(
-            decomposition, budget=budget, workers=workers, pool=pool
+            decomposition, budget=budget, workers=config.workers, pool=pool
         )
         core_index, originals, compact = build_core_index(
-            decomposition,
-            budget=budget,
-            order=order,
-            core_backend=core_backend,
-            workers=workers,
-            kernel=kernel,
-            pool=pool,
+            decomposition, config, budget=budget, pool=pool
         )
     finally:
         if pool is not None:

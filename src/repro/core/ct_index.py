@@ -30,7 +30,7 @@ import time
 from collections import Counter, OrderedDict
 
 import repro.obs as obs
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import QueryError
 from repro.graphs.graph import INF, Graph, Weight
 from repro.kernels import (
     KERNEL_AUTO,
@@ -44,8 +44,9 @@ from repro.graphs.reductions import (
     eliminate_equivalent_nodes,
     reduction_identity,
 )
-from repro.labeling.base import DistanceIndex, MemoryBudget, validate_backend
+from repro.labeling.base import DistanceIndex, MemoryBudget
 from repro.labeling.pll import PrunedLandmarkLabeling
+from repro.core.config import BuildConfig, resolve_build_config
 from repro.core.construction import TreeIndex, construct
 
 #: Kernel-state sentinel: "not resolved yet" (distinct from None, which
@@ -120,15 +121,9 @@ class CTIndex(DistanceIndex):
         graph: Graph,
         bandwidth: int | None = None,
         *,
-        config: object | None = None,
-        use_equivalence_reduction: bool = True,
+        config: BuildConfig | None = None,
         budget: MemoryBudget | None = None,
-        order: str | None = None,
-        core_backend: str = "pll",
-        extension_cache_size: int = 256,
-        workers: int | None = None,
-        backend: str = "dict",
-        kernel: str = KERNEL_AUTO,
+        **knobs,
     ) -> "CTIndex":
         """Construct a CT-Index (Algorithm 1).
 
@@ -140,139 +135,53 @@ class CTIndex(DistanceIndex):
             The paper's ``d``; trades index size against query time.
             Required unless ``config=`` supplies it.
         config:
-            Optional :class:`~repro.api.BuildConfig` bundling every
-            build-shaping knob (all parameters here except ``budget``,
-            which is a runtime object, not configuration).  Knobs may
-            still be passed loose; a loose kwarg that differs from both
-            its default and the config raises
-            :class:`~repro.exceptions.ConfigurationError` (conflicting
-            spellings), while kwargs left at their defaults defer to the
-            config.
-        use_equivalence_reduction:
-            Fold twin nodes before indexing (the paper integrates the
-            PSL+ reduction into CT-Index); automatic no-op on weighted
-            graphs.
+            Optional :class:`~repro.core.config.BuildConfig` bundling
+            every build-shaping knob.
         budget:
             Optional memory budget; exceeding it raises
             :class:`~repro.exceptions.OverMemoryError` mid-build (the
-            paper's "OM" outcome).
-        order:
-            Ordering strategy: ``"degree"`` (PSL's practical hub order,
-            the default when ``None``) or ``"elimination"`` (the theory
-            order of Theorem 4.4 [2]).
-        core_backend:
-            ``"pll"`` (pruned searches) or ``"psl"`` (round-synchronous
-            propagation where applicable) — both build the same
-            canonical labels; the paper's line 33 treats the backends
-            as interchangeable.
-        extension_cache_size:
-            Bound on the per-position extension-label LRU used by
-            Case-3/4 queries; ``0`` disables the cache (every query
-            recomputes its extension sets).
-        workers:
-            Number of worker processes for the parallel build path
-            (``None``/``1`` serial, ``0`` one per CPU).  Any worker
-            count builds the same index byte for byte — see
-            :mod:`repro.parallel`.  With NumPy installed the workers
-            share one shared-memory pool (:mod:`repro.parallel.shm`)
-            that drives both the forest fan-out and the vectorized PSL
-            rounds; without NumPy the pickled-snapshot forest pool is
-            used and PSL rounds fan out per round.
-        backend:
-            Label storage of the returned index: ``"dict"`` (mutable
-            per-node containers) or ``"flat"`` (the CSR arrays of
-            :mod:`repro.storage`, packed after construction).  Never
-            changes an answer.
-        kernel:
-            Kernel selection for the query path, the twin reduction and
-            the vectorized core labeling — PLL's pruned searches or
-            PSL's rounds (see :mod:`repro.kernels`):
-            ``"auto"`` (default — NumPy when installed and the backend
-            is flat), ``"numpy"`` (required; raises
-            :class:`~repro.exceptions.ConfigurationError` when NumPy is
-            missing or ``backend`` is not ``"flat"``), or ``"python"``
-            (always the interpreter paths).  Never changes an answer.
+            paper's "OM" outcome).  A runtime object, not configuration.
+        knobs:
+            Any other :class:`~repro.core.config.BuildConfig` field
+            (``workers``, ``backend``, ``order``, ``core_backend``,
+            ``use_equivalence_reduction``, ``extension_cache_size``,
+            ``kernel``).  A knob passed alongside ``config=`` must agree
+            with it.  Every bad value or conflict raises
+            :class:`~repro.exceptions.ConfigurationError` before the
+            graph is touched (see
+            :func:`~repro.core.config.resolve_build_config`).
         """
-        from repro.api import resolve_config_kwargs
-
-        if bandwidth is None and config is None:
-            raise ConfigurationError(
-                "bandwidth is required (pass it directly or via config=)"
-            )
-        if config is not None:
-            # Defaults-deferral merge: a kwarg still at its default is
-            # "not passed" and defers to the config; one moved off its
-            # default is explicit and must agree with the config.
-            defaults = {
-                "workers": None,
-                "backend": "dict",
-                "order": None,
-                "core_backend": "pll",
-                "use_equivalence_reduction": True,
-                "extension_cache_size": 256,
-                "kernel": KERNEL_AUTO,
-            }
-            passed = {
-                "workers": workers,
-                "backend": backend,
-                "order": order,
-                "core_backend": core_backend,
-                "use_equivalence_reduction": use_equivalence_reduction,
-                "extension_cache_size": extension_cache_size,
-                "kernel": kernel,
-            }
-            explicit = {k: v for k, v in passed.items() if v != defaults[k]}
-            if bandwidth is not None:
-                explicit["bandwidth"] = bandwidth
-            resolved = resolve_config_kwargs(config, explicit)
-            bandwidth = resolved.bandwidth
-            workers = resolved.workers
-            backend = resolved.backend
-            order = resolved.order
-            core_backend = resolved.core_backend
-            use_equivalence_reduction = resolved.use_equivalence_reduction
-            extension_cache_size = resolved.extension_cache_size
-            kernel = resolved.kernel
-        validate_backend(backend)
-        # Fail fast on an unsatisfiable kernel request (numpy missing,
-        # or kernel='numpy' on the dict backend).
-        resolve_kernel(kernel, flat=backend == "flat")
+        config = resolve_build_config(bandwidth, config, knobs)
         started = time.perf_counter()
         with obs_span(
             "ct.build",
             n=graph.n,
             m=graph.m,
-            bandwidth=bandwidth,
-            backend=backend,
-            workers=workers,
+            bandwidth=config.bandwidth,
+            backend=config.backend,
+            workers=config.workers,
         ):
             with obs_span("ct.reduction"):
-                if use_equivalence_reduction:
-                    reduction = eliminate_equivalent_nodes(graph, kernel=kernel)
+                if config.use_equivalence_reduction:
+                    reduction = eliminate_equivalent_nodes(graph, kernel=config.kernel)
                 else:
                     reduction = reduction_identity(graph)
             decomposition, tree_index, core_index, originals, compact, _ = construct(
-                reduction.reduced,
-                bandwidth,
-                budget=budget,
-                order=order,
-                core_backend=core_backend,
-                workers=workers,
-                kernel=kernel,
+                reduction.reduced, config, budget=budget
             )
             del decomposition  # reachable through tree_index
             index = cls(
                 graph=graph,
-                bandwidth=bandwidth,
+                bandwidth=config.bandwidth,
                 reduction=reduction,
                 tree_index=tree_index,
                 core_index=core_index,
                 core_originals=originals,
                 core_compact=compact,
-                extension_cache_size=extension_cache_size,
-                kernel=kernel,
+                extension_cache_size=config.extension_cache_size,
+                kernel=config.kernel,
             )
-            if backend == "flat":
+            if config.backend == "flat":
                 index.compact()
         index.build_seconds = time.perf_counter() - started
         return index
@@ -344,6 +253,11 @@ class CTIndex(DistanceIndex):
     def kernel(self) -> str:
         """The resolved query kernel: ``"numpy"`` or ``"python"``."""
         return KERNEL_NUMPY if self._resolved_kernel_state() is not None else "python"
+
+    @property
+    def kernel_request(self) -> str:
+        """The requested query kernel: ``"auto"``, ``"numpy"`` or ``"python"``."""
+        return self._kernel_request
 
     def set_kernel(self, kernel: str = KERNEL_AUTO) -> "CTIndex":
         """Select the query kernel (``"auto"`` | ``"numpy"`` | ``"python"``).

@@ -20,6 +20,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
+from repro.core.config import BuildConfig, resolve_build_config
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
 from repro.dynamic.overlay import DeltaOverlayIndex
@@ -92,7 +93,8 @@ class BackgroundReindexer:
         worker per CPU — see :mod:`repro.parallel`).
     backend:
         Label storage for rebuilt indexes; defaults to the current
-        base's ``storage_backend``.
+        base's ``storage_backend``.  Rebuilds also keep the base's
+        kernel request and ``extension_cache_size``.
     verify_samples:
         Number of deterministically sampled ``(s, t)`` pairs checked
         against ground truth before a swap is allowed (0 disables the
@@ -133,10 +135,22 @@ class BackgroundReindexer:
             raise ConfigurationError(
                 f"auto_threshold must be positive, got {auto_threshold}"
             )
+        base = overlay.base
         self.overlay = overlay
-        self.bandwidth = bandwidth
-        self.workers = workers
-        self.backend = backend or getattr(overlay.base, "storage_backend", "dict")
+        #: Every rebuild's configuration, resolved (and checked) once here.
+        self.config = resolve_build_config(
+            bandwidth,
+            None,
+            {
+                "workers": workers,
+                "backend": backend
+                or getattr(base, "storage_backend", BuildConfig.backend),
+                "kernel": getattr(base, "kernel_request", BuildConfig.kernel),
+                "extension_cache_size": getattr(
+                    base, "extension_cache_size", BuildConfig.extension_cache_size
+                ),
+            },
+        )
         self.verify_samples = verify_samples
         self.expected_fingerprint = expected_fingerprint
         self.auto_threshold = auto_threshold
@@ -145,6 +159,11 @@ class BackgroundReindexer:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+
+    @property
+    def bandwidth(self) -> int:
+        """The CT-Index bandwidth every rebuild uses."""
+        return self.config.bandwidth
 
     # ------------------------------------------------------------------
     # Synchronous cycle
@@ -165,12 +184,7 @@ class BackgroundReindexer:
             return result
         snap = overlay.snapshot()
         started = time.perf_counter()
-        new_index = CTIndex.build(
-            snap.graph,
-            self.bandwidth,
-            workers=self.workers,
-            backend=self.backend,
-        )
+        new_index = CTIndex.build(snap.graph, config=self.config)
         build_seconds = time.perf_counter() - started
         fingerprint = index_fingerprint(new_index)
         sha = hashlib.sha256(fingerprint).hexdigest()

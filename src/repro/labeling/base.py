@@ -101,6 +101,10 @@ class DistanceIndex(abc.ABC):
 #: Storage backends selectable on the build entry points.
 LABEL_BACKENDS = ("dict", "flat")
 
+#: Hub-label construction schedules: PLL's pruned searches or PSL's
+#: rounds.  Both build the same canonical labels.
+HUB_BUILDERS = ("pll", "psl")
+
 
 def validate_backend(backend: str) -> str:
     """Check a ``backend=`` argument, returning it unchanged.

@@ -23,12 +23,10 @@ import time
 from repro.exceptions import IndexConstructionError
 from repro.graphs.graph import INF, Graph, Weight
 from repro.graphs.reductions import EquivalenceReduction, eliminate_equivalent_nodes
-from repro.labeling.base import DistanceIndex, MemoryBudget
+from repro.labeling.base import HUB_BUILDERS, DistanceIndex, MemoryBudget
 from repro.labeling.hub_labels import HubLabeling
 from repro.labeling.pll import build_pll
 from repro.labeling.psl import build_psl
-
-_BACKENDS = ("pll", "psl")
 
 
 class PslPlusIndex(DistanceIndex):
@@ -196,9 +194,9 @@ def _build_reduced_labels(
     exempt_factory=None,
     workers: int | None = None,
 ) -> tuple[EquivalenceReduction, HubLabeling, list[int]]:
-    if backend not in _BACKENDS:
+    if backend not in HUB_BUILDERS:
         raise IndexConstructionError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+            f"unknown backend {backend!r}; expected one of {HUB_BUILDERS}"
         )
     from repro.labeling.ordering import degree_order
 

@@ -6,10 +6,14 @@ import json
 
 import pytest
 
-from repro.cli.main import main
+from repro.cli.main import _build_parser, main
+from repro.core.config import CORE_ORDERS, BuildConfig
 from repro.core.serialization import index_fingerprint, load_ct_index
+from repro.exceptions import ConfigurationError
 from repro.graphs.generators.random_graphs import connected_gnp_graph
 from repro.graphs.io import write_edge_list
+from repro.kernels import KERNEL_NAMES
+from repro.labeling.base import HUB_BUILDERS, LABEL_BACKENDS
 
 
 @pytest.fixture
@@ -114,6 +118,30 @@ class TestBuildConfigFlag:
                 ["build", str(edge_file), "-d", "3", "-o", str(tmp_path / "x.idx"), *flags]
             )
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, field, values",
+        [
+            ("--backend", "backend", LABEL_BACKENDS),
+            ("--order", "order", CORE_ORDERS),
+            ("--core-backend", "core_backend", HUB_BUILDERS),
+            ("--kernel", "kernel", KERNEL_NAMES),
+        ],
+    )
+    def test_build_flag_choices_are_the_build_config_values(
+        self, flag, field, values
+    ):
+        parser = _build_parser()
+        base = ["build", "graph.edges", "-o", "x.idx"]
+        for value in values:
+            BuildConfig(**{field: value})
+            assert getattr(parser.parse_args([*base, flag, value]), field) == value
+        for value in ("bogus", "", values[0].upper()):
+            with pytest.raises(ConfigurationError):
+                BuildConfig(**{field: value})
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([*base, flag, value])
+            assert excinfo.value.code == 2
 
     def test_chunked_loader_builds_the_same_index(self, edge_file, tmp_path):
         plain = tmp_path / "a.idx"

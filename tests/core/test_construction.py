@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import BuildConfig
 from repro.core.construction import build_core_index, build_tree_index, construct
 from repro.exceptions import OverMemoryError
 from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
@@ -77,7 +78,7 @@ class TestCoreIndex:
 class TestConstruct:
     def test_construct_returns_consistent_pieces(self):
         g = gnp_graph(50, 0.12, seed=2)
-        decomposition, tree_index, core_index, originals, compact, elapsed = construct(g, 4)
+        decomposition, tree_index, core_index, originals, compact, elapsed = construct(g, BuildConfig(bandwidth=4))
         assert tree_index.decomposition is decomposition
         assert len(originals) == len(decomposition.core_nodes)
         assert elapsed > 0
@@ -85,9 +86,9 @@ class TestConstruct:
     def test_budget_shared_across_phases(self):
         g = gnp_graph(60, 0.15, seed=3)
         with pytest.raises(OverMemoryError):
-            construct(g, 4, budget=MemoryBudget(limit_bytes=200))
+            construct(g, BuildConfig(bandwidth=4), budget=MemoryBudget(limit_bytes=200))
 
     def test_weighted_input(self):
         g = random_weighted(gnp_graph(30, 0.15, seed=4), 1, 6, seed=5)
-        decomposition, tree_index, core_index, _, _, _ = construct(g, 3)
+        decomposition, tree_index, core_index, _, _, _ = construct(g, BuildConfig(bandwidth=3))
         assert decomposition.boundary + len(decomposition.core_nodes) == g.n

@@ -54,6 +54,19 @@ class TestSynchronousCycle:
         assert result.verified_pairs == 48
         assert index_fingerprint(overlay.base) == before
 
+    def test_rebuild_keeps_the_base_kernel_and_cache_size(self):
+        graph = gnp_graph(40, 0.12, seed=5)
+        base = CTIndex.build(
+            graph, 3, backend="flat", kernel="python", extension_cache_size=0
+        )
+        overlay = DeltaOverlayIndex(base)
+        assert BackgroundReindexer(overlay).rebuild_once(force=True).swapped
+        assert overlay.base is not base
+        assert overlay.base.storage_backend == "flat"
+        assert overlay.base.extension_cache_size == 0
+        assert overlay.base.kernel_request == "python"
+        assert overlay.base.kernel == "python"
+
     def test_swap_drains_the_patch_and_records_fingerprint(self):
         overlay = make_overlay()
         churn(overlay)

@@ -12,7 +12,7 @@ import pytest
 import repro.kernels as kernels
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
-from repro.exceptions import IndexConstructionError
+from repro.exceptions import ConfigurationError
 from repro.graphs.generators.power_law import barabasi_albert_graph
 from repro.graphs.generators.primitives import cycle_graph, star_graph
 from repro.graphs.generators.random_graphs import connected_gnp_graph, gnp_graph
@@ -79,5 +79,5 @@ class TestIndependentSetOrder:
     def test_unknown_order_rejected(self):
         g = gnp_graph(20, 0.2, seed=1)
         for order in ("random", "is"):
-            with pytest.raises(IndexConstructionError):
+            with pytest.raises(ConfigurationError):
                 CTIndex.build(g, 3, order=order)

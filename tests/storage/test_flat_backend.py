@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro.core.ct_index import CTIndex
 from repro.core.serialization import index_fingerprint
-from repro.exceptions import IndexConstructionError
+from repro.exceptions import ConfigurationError, IndexConstructionError
 from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
 from repro.graphs.traversal import all_pairs_distances
 from repro.labeling.base import LABEL_BACKENDS, validate_backend
@@ -48,7 +48,7 @@ class TestBackendArgument:
             validate_backend(backend)
 
     def test_build_rejects_unknown_backend(self, graph):
-        with pytest.raises(IndexConstructionError, match="backend"):
+        with pytest.raises(ConfigurationError, match="backend"):
             CTIndex.build(graph, 3, backend="csr")
         with pytest.raises(IndexConstructionError, match="backend"):
             build_pll(graph, backend="csr")
